@@ -74,7 +74,7 @@ func main() {
 		for _, name := range strings.Split(*appList, ",") {
 			names = append(names, strings.TrimSpace(name))
 		}
-		runReplicated(*replicas, n, names, *flows, *stateDir, *topo)
+		runReplicated(*replicas, n, names, *flows, *stateDir, *topo, *metricsAddr)
 		return
 	}
 

@@ -3,11 +3,13 @@ package main
 import (
 	"fmt"
 	"log"
+	"net/http"
 	"os"
 	"time"
 
 	"legosdn/internal/controller"
 	"legosdn/internal/durable"
+	"legosdn/internal/metrics"
 	"legosdn/internal/netsim"
 	"legosdn/internal/openflow"
 	"legosdn/internal/replica"
@@ -20,7 +22,11 @@ import (
 // open — a follower wins the lease, rolls the orphan back from its
 // replicated journal, takes over the switches, and traffic keeps
 // flowing.
-func runReplicated(replicas int, n *netsim.Network, appNames []string, flows int, stateDir string, topo string) {
+//
+// metricsAddr, when set, serves the cluster's own instruments (elections,
+// failovers, replication lag, quorum waits) at /metrics; each stack
+// incarnation keeps its private registry.
+func runReplicated(replicas int, n *netsim.Network, appNames []string, flows int, stateDir, topo, metricsAddr string) {
 	if stateDir == "" {
 		dir, err := os.MkdirTemp("", "legosdn-replicas-")
 		if err != nil {
@@ -36,6 +42,17 @@ func runReplicated(replicas int, n *netsim.Network, appNames []string, flows int
 		factories = append(factories, func() controller.App { return mustApp(name) })
 	}
 
+	reg := metrics.NewRegistry()
+	if metricsAddr != "" {
+		go func() {
+			mux := http.NewServeMux()
+			mux.Handle("/metrics", reg.Handler())
+			fmt.Printf("cluster metrics on http://%s/metrics\n", metricsAddr)
+			if err := http.ListenAndServe(metricsAddr, mux); err != http.ErrServerClosed {
+				log.Printf("legosdn: metrics server: %v", err)
+			}
+		}()
+	}
 	cluster := replica.New(replica.Options{
 		Dir:            stateDir,
 		Replicas:       replicas,
@@ -44,6 +61,7 @@ func runReplicated(replicas int, n *netsim.Network, appNames []string, flows int
 		HeartbeatEvery: 50 * time.Millisecond,
 		WAL:            durable.Options{GroupCommit: true},
 		Apps:           factories,
+		Metrics:        reg,
 		Logf:           log.Printf,
 	})
 	if err := cluster.Start(n); err != nil {

@@ -3,6 +3,7 @@ package controller
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -522,6 +523,43 @@ func TestEchoLivenessHealthySwitchStaysUp(t *testing.T) {
 // leave the entry behind, leaking one waiter per reconnect on handles
 // already superseded in c.switches (where onDisconnect's sweep no
 // longer reaches them).
+// TestSwHandleCloseFromTwoGoroutines hammers close() the way a leader
+// kill does — the pump's onDisconnect and Controller.Stop reaching the
+// same handle at once. The check-then-close it replaced let both pass
+// the check and panicked with "close of closed channel".
+func TestSwHandleCloseFromTwoGoroutines(t *testing.T) {
+	c := New(Config{})
+	defer c.Stop()
+	for i := 0; i < 2000; i++ {
+		ctrlSide, swSide := openflow.Pipe()
+		h := &swHandle{c: c, conn: ctrlSide, closedCh: make(chan struct{})}
+		// A spin barrier, not a channel: both goroutines must be running
+		// when they call close, a wake-up apart is too far.
+		var ready atomic.Int32
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ready.Add(1)
+				for ready.Load() < 2 {
+				}
+				h.close()
+			}()
+		}
+		wg.Wait()
+		select {
+		case <-h.closedCh:
+		default:
+			t.Fatal("handle not closed")
+		}
+		if _, err := swSide.ReadMessage(); err == nil {
+			t.Fatal("connection still open after close")
+		}
+		swSide.Close()
+	}
+}
+
 func TestEchoLoopCleansPendingOnAllExits(t *testing.T) {
 	pendingLen := func(c *Controller, h *swHandle) int {
 		c.mu.Lock()

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,6 +17,7 @@ type swHandle struct {
 	ports    map[uint16]openflow.PhyPort
 	pending  map[uint32]chan openflow.Message
 	closedCh chan struct{}
+	closing  sync.Once
 }
 
 // AttachSwitchConn performs the active (controller-side) handshake on
@@ -157,15 +159,14 @@ func isReply(t openflow.Type) bool {
 	return false
 }
 
-// close tears the handle down, failing all pending waiters.
+// close tears the handle down, failing all pending waiters. It is
+// called from the pump's onDisconnect, the echo loop, a re-attach and
+// Controller.Stop, any two of which may race.
 func (h *swHandle) close() {
-	select {
-	case <-h.closedCh:
-		return
-	default:
-	}
-	close(h.closedCh)
-	h.conn.Close()
+	h.closing.Do(func() {
+		close(h.closedCh)
+		h.conn.Close()
+	})
 }
 
 // pump owns all reads from the switch connection, translating

@@ -42,17 +42,29 @@ type RecoveredTxn struct {
 	Ops []RecoveredOp
 }
 
-// NetLogJournal implements netlog.Journal over a WAL: begin/op/commit/
-// abort records, each fsynced before the transaction layer proceeds.
-// On open it scans the log for orphaned transactions; Resolve marks an
-// orphan rolled back once its inverses have been replayed. When every
+// NetLogJournal implements netlog.Journal over a WAL. A transaction
+// costs one synchronous write: the record that must be durable before a
+// FlowMod leaves is the op carrying its inverse, so TxnBegin only notes
+// the transaction in memory, the first TxnOp writes begin+op as one
+// batch (one sync), later ops are one sync each, and the closing record
+// (commit or abort) is a deferred append — in the file at once, durable
+// at the next sync point. A transaction closed before its first op
+// writes nothing. Recovery presumes abort: a begin without a closing
+// record is an orphan whose inverses are replayed, which is also what
+// happens to the most recently finished transaction if the machine
+// dies before its closing record's sync point.
+//
+// On open the journal scans the log for orphans; Resolve marks one
+// rolled back once its inverses have been replayed. When every
 // transaction is resolved the journal self-compacts to a single empty
 // snapshot.
 type NetLogJournal struct {
 	w *WAL
 
-	mu      sync.Mutex
-	live    map[uint64]bool          // transactions begun this incarnation, still open
+	mu sync.Mutex
+	// live holds the transactions begun this incarnation and still open;
+	// the value is whether the begin record has been handed to the WAL.
+	live    map[uint64]bool
 	orphans map[uint64]*RecoveredTxn // interrupted transactions from the previous incarnation
 }
 
@@ -119,25 +131,38 @@ func (j *NetLogJournal) Resolve(id uint64) error {
 
 // --- netlog.Journal ---
 
-// TxnBegin implements netlog.Journal.
+// TxnBegin implements netlog.Journal. Nothing is written: the begin
+// record rides the first op's sync. Registering the transaction here
+// also keeps a concurrent idle-compaction from discarding that batch
+// right after it lands.
 func (j *NetLogJournal) TxnBegin(id uint64) error {
-	// Register the transaction before appending: a concurrent Resolve's
-	// idle-compaction must see it as live, or it could discard the
-	// begin record right after it lands.
 	j.mu.Lock()
-	j.live[id] = true
+	j.live[id] = false
 	j.mu.Unlock()
-	if err := j.w.Append(recTxnBegin, appendU64(nil, id)); err != nil {
-		j.mu.Lock()
-		delete(j.live, id)
-		j.mu.Unlock()
-		return err
-	}
 	return nil
 }
 
-// TxnOp implements netlog.Journal.
+// TxnOp implements netlog.Journal. The op is durable when it returns,
+// and so is every record written before it — the transaction's begin
+// and whichever closing records were deferred since the last sync.
 func (j *NetLogJournal) TxnOp(id uint64, op netlog.JournalOp) error {
+	payload, err := encodeTxnOp(id, op)
+	if err != nil {
+		return err
+	}
+	recs := []Record{{Type: recTxnOp, Payload: payload}}
+	j.mu.Lock()
+	if begun, known := j.live[id]; known && !begun {
+		j.live[id] = true
+		recs = []Record{{Type: recTxnBegin, Payload: appendU64(nil, id)}, recs[0]}
+	}
+	j.mu.Unlock()
+	return j.w.AppendBatch(recs)
+}
+
+// encodeTxnOp is the op record's payload; decodeOp reads everything after
+// the transaction id back.
+func encodeTxnOp(id uint64, op netlog.JournalOp) ([]byte, error) {
 	payload := appendU64(nil, id)
 	payload = appendU64(payload, op.DPID)
 	payload = appendU16(payload, uint16(len(op.Inverses)))
@@ -150,11 +175,11 @@ func (j *NetLogJournal) TxnOp(id uint64, op netlog.JournalOp) error {
 		payload = appendI64(payload, inv.Installed.UnixNano())
 		raw, err := openflow.Encode(inv.Mod)
 		if err != nil {
-			return fmt.Errorf("durable: encoding inverse flow mod: %w", err)
+			return nil, fmt.Errorf("durable: encoding inverse flow mod: %w", err)
 		}
 		payload = appendBytes(payload, raw)
 	}
-	return j.w.Append(recTxnOp, payload)
+	return payload, nil
 }
 
 // TxnCommit implements netlog.Journal.
@@ -168,12 +193,17 @@ func (j *NetLogJournal) TxnAbort(id uint64) error {
 }
 
 func (j *NetLogJournal) closeTxn(rec byte, id uint64) error {
-	if err := j.w.Append(rec, appendU64(nil, id)); err != nil {
-		return err
-	}
 	j.mu.Lock()
+	begun, known := j.live[id]
 	delete(j.live, id)
 	j.mu.Unlock()
+	// A transaction whose begin never reached the log has nothing to
+	// close.
+	if begun || !known {
+		if err := j.w.AppendDeferred(rec, appendU64(nil, id)); err != nil {
+			return err
+		}
+	}
 	j.maybeCompact()
 	return nil
 }
@@ -203,7 +233,9 @@ func (j *NetLogJournal) replayRecord(rec Record) error {
 		if err != nil {
 			return err
 		}
-		j.orphans[id] = &RecoveredTxn{ID: id}
+		if j.orphans[id] == nil {
+			j.orphans[id] = &RecoveredTxn{ID: id}
+		}
 	case recTxnOp:
 		id, err := r.u64()
 		if err != nil {

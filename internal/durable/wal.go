@@ -133,9 +133,15 @@ type WAL struct {
 	recoveredRecords int
 	truncatedBytes   int64
 
+	// written, when non-nil, is closed by the next frame written: the
+	// wake-up tailers wait on instead of polling. Allocated on demand by
+	// Written, so a WAL nobody tails pays nothing.
+	written chan struct{}
+
 	appends  metrics.Counter
 	bytes    metrics.Counter // framed bytes written (what each fsync pays for)
 	commits  metrics.Counter // append-path sync points (batches, not records)
+	deferred metrics.Counter // records written by AppendDeferred
 	fsyncDur *metrics.Histogram
 
 	// Group-commit state, used only when opts.GroupCommit is set. The
@@ -205,6 +211,8 @@ func (w *WAL) Instrument(reg *metrics.Registry, name string) {
 	reg.RegisterCounter("legosdn_durable_appends_total"+label, "records appended to the WAL", &w.appends)
 	reg.RegisterCounter("legosdn_durable_appended_bytes_total"+label, "framed bytes written to the WAL", &w.bytes)
 	reg.RegisterCounter("legosdn_durable_commits_total"+label, "append-path sync batches (one fsync each)", &w.commits)
+	reg.RegisterCounter("legosdn_durable_deferred_records_total"+label,
+		"records written without a sync of their own (durable at the next sync point)", &w.deferred)
 	w.fsyncDur = reg.Histogram("legosdn_durable_fsync_seconds"+label,
 		"latency of one fsync on the WAL append path", nil)
 	reg.RegisterGaugeFunc("legosdn_durable_recovered_records"+label,
@@ -230,6 +238,9 @@ func (w *WAL) TruncatedBytes() int64 { return w.truncatedBytes }
 // amortization factor.
 func (w *WAL) AppendedBytes() uint64 { return w.bytes.Load() }
 func (w *WAL) Commits() uint64       { return w.commits.Load() }
+
+// DeferredRecords reports how many records AppendDeferred has written.
+func (w *WAL) DeferredRecords() uint64 { return w.deferred.Load() }
 
 // SegmentCount reports the number of live segment files.
 func (w *WAL) SegmentCount() int {
@@ -406,6 +417,28 @@ func (w *WAL) AppendBatch(recs []Record) error {
 	return w.syncLocked()
 }
 
+// AppendDeferred writes one record without a sync of its own. The frame
+// goes to the segment file before AppendDeferred returns — written, not
+// buffered — so tailing readers see it at once and it survives the
+// death of the process; what it does not yet survive is the machine
+// losing power. The next sync point on this WAL (any Append or
+// AppendBatch, a rotation, Compact, Sync, Close) makes it durable along
+// with everything before it in the file. For records whose loss
+// recovery tolerates, such as the closing record of a transaction whose
+// write-ahead record is already durable.
+func (w *WAL) AppendDeferred(typ byte, payload []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return fmt.Errorf("durable: WAL closed")
+	}
+	if err := w.writeFrameLocked(frameRecord(typ, payload)); err != nil {
+		return err
+	}
+	w.deferred.Inc()
+	return nil
+}
+
 func (w *WAL) appendLocked(typ byte, payload []byte) error {
 	if w.closed {
 		return fmt.Errorf("durable: WAL closed")
@@ -431,7 +464,17 @@ func (w *WAL) writeFrameLocked(frame []byte) error {
 	w.totalAppended++
 	w.appends.Add(1)
 	w.bytes.Add(uint64(len(frame)))
+	w.wakeLocked()
 	return nil
+}
+
+// wakeLocked releases everyone waiting on the channel Written handed
+// out.
+func (w *WAL) wakeLocked() {
+	if w.written != nil {
+		close(w.written)
+		w.written = nil
+	}
 }
 
 // submit hands frames to the committer goroutine and waits for the
@@ -666,8 +709,24 @@ func (w *WAL) Close() error {
 //     fails with ErrSegmentGone.
 //   - SegmentReader.Next tolerates a torn tail: a partial frame at the
 //     end of a live segment (an append in flight) reads as io.EOF
-//     without advancing, so the next poll retries from the same offset
+//     without advancing, so the next scan retries from the same offset
 //     and sees the completed record.
+//   - Written is the wake-up that replaces polling: a tailer takes the
+//     channel, scans, and only then waits on it. Every frame written
+//     after the channel was taken closes it — compaction included, its
+//     snapshot is a frame — so a record that lands behind the scan's
+//     back cannot be slept through.
+
+// Written returns a channel that is closed as soon as another frame is
+// written to the log. Take it before scanning.
+func (w *WAL) Written() <-chan struct{} {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.written == nil {
+		w.written = make(chan struct{})
+	}
+	return w.written
+}
 
 // Generation reports how many times this WAL has been compacted since
 // open. A tailer whose cached generation differs must resync.

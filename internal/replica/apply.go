@@ -113,7 +113,12 @@ func (a *Applier) recvLoop() {
 	}
 }
 
-// applyLoop drains the queue into the shadow WALs.
+// applyLoop drains the queue into the shadow WALs: everything that
+// arrived while the previous write was syncing is taken at once, and
+// each run of consecutive records of one stream goes down as one batch
+// with one sync. Acks left on receipt, so the leader never waits for
+// these syncs — but they share its disk, and one per record was most of
+// the disk's work.
 func (a *Applier) applyLoop() {
 	defer a.wg.Done()
 	for {
@@ -125,76 +130,96 @@ func (a *Applier) applyLoop() {
 			a.mu.Unlock()
 			return
 		}
-		f := a.queue[0]
-		a.queue = a.queue[1:]
+		batch := a.queue
+		a.queue = nil
 		a.mu.Unlock()
 
-		if a.applyDelay > 0 {
-			time.Sleep(a.applyDelay)
-		}
-		if err := a.apply(f); err != nil {
+		for len(batch) > 0 {
+			n := 1
+			if batch[0].Kind == frameRecord {
+				for n < len(batch) && batch[n].Kind == frameRecord && batch[n].Stream == batch[0].Stream {
+					n++
+				}
+			}
+			run := batch[:n]
+			batch = batch[n:]
+			if a.applyDelay > 0 {
+				time.Sleep(time.Duration(n) * a.applyDelay)
+			}
+			var err error
+			if run[0].Kind == frameReset {
+				err = a.applyReset(run[0])
+			} else if run[0].Kind == frameRecord {
+				err = a.applyRecords(run)
+			}
 			a.mu.Lock()
-			if a.failure == nil {
+			if err != nil && a.failure == nil {
 				a.failure = err
 			}
+			a.pending -= n
+			a.cond.Broadcast()
 			a.mu.Unlock()
 		}
-		a.mu.Lock()
-		a.pending--
-		a.cond.Broadcast()
-		a.mu.Unlock()
 	}
 }
 
-func (a *Applier) apply(f frame) error {
-	switch f.Kind {
-	case frameReset:
-		// New WAL generation: the history this shadow holds was replaced
-		// by a snapshot (or a new leader started a fresh stream). Wipe and
-		// restart applying at Pos+1.
-		a.mu.Lock()
-		w := a.wals[f.Stream]
-		a.mu.Unlock()
-		if w != nil {
-			if err := w.Close(); err != nil {
-				return err
-			}
-		}
-		if err := os.RemoveAll(a.streamDir(f.Stream)); err != nil {
-			return fmt.Errorf("replica: wiping shadow WAL on reset: %w", err)
-		}
-		nw, err := durable.Open(a.streamDir(f.Stream), a.opts)
-		if err != nil {
-			return fmt.Errorf("replica: reopening shadow WAL after reset: %w", err)
-		}
-		a.mu.Lock()
-		a.wals[f.Stream] = nw
-		a.last[f.Stream] = f.Pos
-		a.mu.Unlock()
-		a.resets.Inc()
-		return nil
-	case frameRecord:
-		a.mu.Lock()
-		w := a.wals[f.Stream]
-		dup := f.Pos <= a.last[f.Stream]
-		a.mu.Unlock()
-		if dup {
-			a.dups.Inc()
-			return nil
-		}
-		if w == nil {
-			return fmt.Errorf("replica: record for unknown stream %d", f.Stream)
-		}
-		if err := w.Append(f.RecType, f.Payload); err != nil {
+// applyReset starts a new WAL generation: the history this shadow holds
+// was replaced by a snapshot (or a new leader started a fresh stream).
+// Wipe and restart applying at Pos+1.
+func (a *Applier) applyReset(f frame) error {
+	a.mu.Lock()
+	w := a.wals[f.Stream]
+	a.mu.Unlock()
+	if w != nil {
+		if err := w.Close(); err != nil {
 			return err
 		}
-		a.mu.Lock()
-		a.last[f.Stream] = f.Pos
-		a.mu.Unlock()
-		return nil
-	default:
+	}
+	if err := os.RemoveAll(a.streamDir(f.Stream)); err != nil {
+		return fmt.Errorf("replica: wiping shadow WAL on reset: %w", err)
+	}
+	nw, err := durable.Open(a.streamDir(f.Stream), a.opts)
+	if err != nil {
+		return fmt.Errorf("replica: reopening shadow WAL after reset: %w", err)
+	}
+	a.mu.Lock()
+	a.wals[f.Stream] = nw
+	a.last[f.Stream] = f.Pos
+	a.mu.Unlock()
+	a.resets.Inc()
+	return nil
+}
+
+// applyRecords appends a run of one stream's records to its shadow WAL
+// with a single sync, skipping positions already applied.
+func (a *Applier) applyRecords(run []frame) error {
+	stream := run[0].Stream
+	a.mu.Lock()
+	w := a.wals[stream]
+	last := a.last[stream]
+	a.mu.Unlock()
+	recs := make([]durable.Record, 0, len(run))
+	for _, f := range run {
+		if f.Pos <= last {
+			a.dups.Inc()
+			continue
+		}
+		last = f.Pos
+		recs = append(recs, durable.Record{Type: f.RecType, Payload: f.Payload})
+	}
+	if len(recs) == 0 {
 		return nil
 	}
+	if w == nil {
+		return fmt.Errorf("replica: record for unknown stream %d", stream)
+	}
+	if err := w.AppendBatch(recs); err != nil {
+		return err
+	}
+	a.mu.Lock()
+	a.last[stream] = last
+	a.mu.Unlock()
+	return nil
 }
 
 // Drain blocks until every frame received so far has been applied (or

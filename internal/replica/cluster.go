@@ -27,9 +27,11 @@ const (
 	// followers had not yet received (those transactions are then
 	// presumed-aborted on the *old* leader's disk only).
 	CommitAsync CommitMode = iota
-	// CommitQuorum blocks each journal write until a majority of
-	// replicas (leader included) hold the record, so any elected
+	// CommitQuorum blocks each journaled operation until a majority of
+	// replicas (leader included) hold its record — and with it, the log
+	// being shipped in order, every record before it — so any elected
 	// successor's journal covers every operation a switch ever saw.
+	// Closing records do not wait; see quorumJournal.
 	CommitQuorum
 )
 
@@ -141,6 +143,7 @@ type Cluster struct {
 	leaderAlive bool
 	masterConns []*openflow.Conn // leader's switch conns (closed on kill)
 	acked       map[string]uint64
+	ackWake     chan struct{} // non-nil while a quorum wait sleeps; closed by the next ack
 	failTL      *flightrec.Timeline
 	electing    bool
 	lastMTTR    time.Duration
@@ -151,6 +154,7 @@ type Cluster struct {
 	elections      metrics.Counter
 	failovers      metrics.Counter
 	quorumTimeouts metrics.Counter
+	quorumWaitSec  *metrics.Histogram
 	failoverSec    *metrics.Histogram
 
 	stopMonitor chan struct{}
@@ -173,6 +177,8 @@ func New(opts Options) *Cluster {
 		"Completed leader failovers (promotion finished).", &c.failovers)
 	reg.RegisterCounter("legosdn_replica_quorum_timeouts_total",
 		"Journal writes that gave up waiting for follower acks.", &c.quorumTimeouts)
+	c.quorumWaitSec = reg.Histogram("legosdn_replica_quorum_wait_seconds",
+		"Time a journaled operation waited for follower acks (timeouts included).", nil)
 	c.failoverSec = reg.Histogram("legosdn_replica_failover_seconds",
 		"Leader-death to dispatch-resumed latency.", nil)
 	reg.RegisterGaugeFunc("legosdn_replica_replication_lag_records",
@@ -311,18 +317,27 @@ func (c *Cluster) startReplication(lead *node, st *durable.State) error {
 		name := f.name
 		f.shipper = NewShipper(shipConn, st.Journal.WAL(), st.Checkpoints.WAL(),
 			func(stream byte, pos uint64) {
-				if stream != streamNetlog {
-					return
+				if stream == streamNetlog {
+					c.noteAck(name, pos)
 				}
-				c.mu.Lock()
-				if pos > c.acked[name] {
-					c.acked[name] = pos
-				}
-				c.mu.Unlock()
 			})
 		f.shipper.Run()
 	}
 	return nil
+}
+
+// noteAck records that follower name holds the journal through pos and
+// wakes whoever sleeps in waitQuorum.
+func (c *Cluster) noteAck(name string, pos uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if pos > c.acked[name] {
+		c.acked[name] = pos
+		if c.ackWake != nil {
+			close(c.ackWake)
+			c.ackWake = nil
+		}
+	}
 }
 
 // buildStack assembles a core.Stack over st. Every incarnation gets a
@@ -339,7 +354,7 @@ func (c *Cluster) buildStack(st *durable.State) (*core.Stack, error) {
 		Logf:             c.opts.Logf,
 	}
 	if c.opts.CommitMode == CommitQuorum {
-		cfg.Journal = &quorumJournal{inner: st.Journal, c: c}
+		cfg.Journal = &quorumJournal{NetLogJournal: st.Journal, c: c}
 	}
 	stack := core.NewStack(cfg)
 	for _, app := range c.opts.Apps {
@@ -718,13 +733,15 @@ func (c *Cluster) ReplicationLag() uint64 {
 
 // waitQuorum blocks until a majority of replicas hold the journal
 // prefix through pos (the leader's own WAL write already counts as one
-// vote), or QuorumTimeout passes.
+// vote), or QuorumTimeout passes. It sleeps on the ack callback's
+// wake-up, not on a poll interval.
 func (c *Cluster) waitQuorum(pos uint64) error {
 	need := c.opts.Replicas/2 + 1 - 1 // follower acks beyond the leader
 	if need <= 0 {
 		return nil
 	}
-	deadline := time.Now().Add(c.opts.QuorumTimeout)
+	defer c.quorumWaitSec.ObserveSince(time.Now())
+	var timeout *time.Timer
 	for {
 		c.mu.Lock()
 		got := 0
@@ -733,41 +750,51 @@ func (c *Cluster) waitQuorum(pos uint64) error {
 				got++
 			}
 		}
-		c.mu.Unlock()
 		if got >= need {
+			c.mu.Unlock()
 			return nil
 		}
-		if time.Now().After(deadline) {
+		// Taken under the lock the count was made under: an ack that
+		// arrives from here on closes this very channel.
+		if c.ackWake == nil {
+			c.ackWake = make(chan struct{})
+		}
+		wake := c.ackWake
+		c.mu.Unlock()
+		if timeout == nil {
+			timeout = time.NewTimer(c.opts.QuorumTimeout)
+			defer timeout.Stop()
+		}
+		select {
+		case <-wake:
+		case <-timeout.C:
 			c.quorumTimeouts.Inc()
 			return fmt.Errorf("replica: quorum wait for journal pos %d timed out (%d/%d follower acks)",
 				pos, got, need)
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
 }
 
-// quorumJournal wraps the durable NetLog journal so every write blocks
-// until a majority of replicas hold it. Errors surface to NetLog's
-// journalAppend, which absorbs them into the JournalErrors counter —
-// a quorum loss degrades durability, never availability.
+// quorumJournal wraps the durable NetLog journal so a journaled
+// operation blocks until a majority of replicas hold it — the one
+// record that must be on a quorum before its FlowMod leaves. Begin
+// writes nothing, and closing records are shipped like everything else
+// but not waited for: the next operation's wait covers them (same log,
+// earlier position), and a successor that never received the last one
+// presumes that transaction aborted and undoes it. Errors surface to
+// NetLog's journalAppend, which absorbs them into the JournalErrors
+// counter — a quorum loss degrades durability, never availability.
 type quorumJournal struct {
-	inner *durable.NetLogJournal
-	c     *Cluster
+	*durable.NetLogJournal
+	c *Cluster
 }
 
-func (q *quorumJournal) after(err error) error {
-	if err != nil {
+func (q *quorumJournal) TxnOp(id uint64, op netlog.JournalOp) error {
+	if err := q.NetLogJournal.TxnOp(id, op); err != nil {
 		return err
 	}
-	return q.c.waitQuorum(q.inner.WAL().EndPos())
+	return q.c.waitQuorum(q.WAL().EndPos())
 }
-
-func (q *quorumJournal) TxnBegin(id uint64) error { return q.after(q.inner.TxnBegin(id)) }
-func (q *quorumJournal) TxnOp(id uint64, op netlog.JournalOp) error {
-	return q.after(q.inner.TxnOp(id, op))
-}
-func (q *quorumJournal) TxnCommit(id uint64) error { return q.after(q.inner.TxnCommit(id)) }
-func (q *quorumJournal) TxnAbort(id uint64) error  { return q.after(q.inner.TxnAbort(id)) }
 
 // Close stops the monitor, the replication sessions and whatever stack
 // is serving (the fenced ex-leader included).

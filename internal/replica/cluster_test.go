@@ -55,23 +55,38 @@ func orphanRule(i int) *openflow.FlowMod {
 func testCluster(t *testing.T, mode CommitMode) (*Cluster, *netsim.Network) {
 	t.Helper()
 	n := netsim.Single(2, nil)
-	c := New(Options{
-		Dir:             t.TempDir(),
-		Replicas:        3,
-		CommitMode:      mode,
-		LeaseTTL:        80 * time.Millisecond,
-		HeartbeatEvery:  20 * time.Millisecond,
-		CheckpointEvery: 4,
-		WAL:             durable.Options{NoSync: true},
+	c := startCluster(t, n, func(o *Options) {
+		o.CommitMode = mode
+		o.CheckpointEvery = 4
+	})
+	t.Cleanup(c.Close)
+	return c, n
+}
+
+// startCluster starts a 3-replica cluster of one testApp on n, with
+// short leases and unsynced WALs; tune adjusts the options first. The
+// caller closes it.
+func startCluster(t *testing.T, n *netsim.Network, tune func(*Options)) *Cluster {
+	t.Helper()
+	opts := Options{
+		Dir:            t.TempDir(),
+		Replicas:       3,
+		CommitMode:     CommitQuorum,
+		LeaseTTL:       80 * time.Millisecond,
+		HeartbeatEvery: 20 * time.Millisecond,
+		WAL:            durable.Options{NoSync: true},
 		Apps: []func() controller.App{
 			func() controller.App { return &testApp{name: "rec0"} },
 		},
-	})
+	}
+	if tune != nil {
+		tune(&opts)
+	}
+	c := New(opts)
 	if err := c.Start(n); err != nil {
 		t.Fatalf("cluster start: %v", err)
 	}
-	t.Cleanup(c.Close)
-	return c, n
+	return c
 }
 
 func injectN(t *testing.T, c *Cluster, count int) {
@@ -104,10 +119,11 @@ func TestClusterKillLeaderFailover(t *testing.T) {
 	c, n := testCluster(t, CommitQuorum)
 	injectN(t, c, 6)
 
-	// Quorum commit: by the time each txn committed, followers held it.
-	if lag := c.ReplicationLag(); lag != 0 {
-		t.Fatalf("replication lag %d after quorum-committed workload", lag)
-	}
+	// Quorum commit: each op was on a quorum before its FlowMod left. The
+	// closing records are shipped without being waited for, so the last
+	// one may still be on its way when Processed ticks; it arrives on its
+	// own, with nothing further written to push it.
+	waitFor(t, "replication drained", func() bool { return c.ReplicationLag() == 0 })
 
 	// Open a transaction, touch the switch, and die before resolution.
 	stack := c.Stack()

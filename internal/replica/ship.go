@@ -17,7 +17,9 @@ import (
 // reset frame, after which the follower re-applies from the
 // snapshot-headed log. One Shipper per follower; records are shipped in
 // log order with contiguous positions, so follower-side dedup is a
-// single comparison.
+// single comparison. An idle shipper sleeps until a WAL reports a frame
+// written (durable.WAL.Written) — records written without a sync of
+// their own wake it exactly like synced ones.
 type Shipper struct {
 	conn    net.Conn
 	streams []*shipStream
@@ -25,6 +27,7 @@ type Shipper struct {
 
 	shipped metrics.Counter
 	resets  metrics.Counter
+	scans   metrics.Counter // passes of the shipping loop over both streams
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -56,9 +59,12 @@ func NewShipper(conn net.Conn, netlogWAL, checkpointWAL *durable.WAL, onAck func
 	}
 }
 
-// Shipped reports records sent; Resets the generation resyncs sent.
+// Shipped reports records sent; Resets the generation resyncs sent;
+// Scans the passes the shipping loop has made over its streams (an
+// idle shipper makes next to none).
 func (s *Shipper) Shipped() uint64 { return s.shipped.Load() }
 func (s *Shipper) Resets() uint64  { return s.resets.Load() }
+func (s *Shipper) Scans() uint64   { return s.scans.Load() }
 
 // Run starts the ack reader and the shipping loop. It returns
 // immediately; Stop tears both down.
@@ -92,9 +98,20 @@ func (s *Shipper) ackLoop() {
 	}
 }
 
+// idleRescan is the shipping loop's safety net: an idle shipper looks at
+// its WALs again this often even if no wake-up came.
+const idleRescan = 100 * time.Millisecond
+
 func (s *Shipper) shipLoop() {
 	defer s.wg.Done()
+	rescan := time.NewTicker(idleRescan)
+	defer rescan.Stop()
 	for {
+		// Take the wake-ups before scanning: a frame written after the
+		// scan has passed its offset closes a channel already in hand,
+		// so the wait below cannot sleep through it.
+		netlogWritten, checkpointsWritten := s.streams[0].wal.Written(), s.streams[1].wal.Written()
+		s.scans.Inc()
 		progress := false
 		for _, st := range s.streams {
 			p, err := s.step(st)
@@ -107,7 +124,9 @@ func (s *Shipper) shipLoop() {
 			select {
 			case <-s.stop:
 				return
-			case <-time.After(500 * time.Microsecond):
+			case <-netlogWritten:
+			case <-checkpointsWritten:
+			case <-rescan.C:
 			}
 		}
 	}
