@@ -125,24 +125,6 @@ func BenchmarkClaimInvariantEscalation(b *testing.B) {
 	}
 }
 
-func BenchmarkClaimThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.ClaimThroughput(true))
-	}
-}
-
-func BenchmarkClaimScale(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.ClaimScale(true))
-	}
-}
-
-func BenchmarkClaimRecoveryForensics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		report(b, experiments.ClaimRecoveryForensics(true))
-	}
-}
-
 // --- Micro-benchmarks: the hot paths the tables are built from. ---
 
 func BenchmarkOpenFlowEncodeFlowMod(b *testing.B) {

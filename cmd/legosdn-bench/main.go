@@ -9,9 +9,6 @@
 //	legosdn-bench -quick                   # reduced iteration counts
 //	legosdn-bench -only C3                 # a single experiment by id
 //	legosdn-bench -list                    # experiment index
-//	legosdn-bench -bench-out BENCH.json    # also write headline numbers as JSON
-//	legosdn-bench -only P1 -trace-sample 1 -trace-out spans.json
-//	                                       # trace the pipeline, view in chrome://tracing
 //	legosdn-bench -chaos -chaos-seed 7     # chaos scenario suite under seed 7
 //	legosdn-bench -chaos -chaos-only av-drop
 //	legosdn-bench -campaign -campaign-seeds 200 -campaign-shrink
@@ -28,24 +25,25 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 
 	"legosdn/internal/chaos"
 	"legosdn/internal/experiments"
-	"legosdn/internal/trace"
 )
 
-// index maps experiment ids to constructors, using full-run parameters.
-var index = []struct {
+// experiment is one row of the index: run regenerates its table.
+type experiment struct {
 	id    string
 	title string
 	run   func(quick bool) experiments.Table
-}{
+}
+
+// index maps experiment ids to constructors, using full-run parameters.
+var index = []experiment{
 	{"T1", "fate sharing (paper Table 1)", func(bool) experiments.Table { return experiments.Table1FateSharing() }},
 	{"T2", "app survey (paper Table 2)", func(bool) experiments.Table { return experiments.Table2AppSurvey() }},
 	{"F1", "architecture latency (paper Figure 1)", func(q bool) experiments.Table {
@@ -82,23 +80,8 @@ var index = []struct {
 	{"C13", "No-Compromise escalation (§5)", func(bool) experiments.Table {
 		return experiments.ClaimInvariantEscalation()
 	}},
-	{"C14", "incremental checkpoints + group commit (§5)", func(q bool) experiments.Table {
-		return experiments.ClaimIncrementalCheckpoints(pick(q, 200, 1000), 32<<10, 16)
-	}},
-	{"P1", "event pipeline throughput (serial vs parallel, direct vs AppVisor)", func(q bool) experiments.Table {
-		return experiments.ClaimThroughput(q)
-	}},
-	{"P2", "data-plane scale: topologies, indexed lookups, AppVisor capacity", func(q bool) experiments.Table {
-		return experiments.ClaimScale(q)
-	}},
-	{"R1", "crash forensics: MTTR breakdown by recovery phase, autopsy coverage", func(q bool) experiments.Table {
-		return experiments.ClaimRecoveryForensics(q)
-	}},
 	{"S1", "chaos search: fault-schedule minimization to 1-minimal reproducers (§5)", func(q bool) experiments.Table {
 		return experiments.ClaimChaosSearch(q)
-	}},
-	{"H1", "replicated control plane: leader-kill failover MTTR", func(q bool) experiments.Table {
-		return experiments.ClaimFailoverMTTR(q)
 	}},
 }
 
@@ -111,13 +94,9 @@ func pick(quick bool, q, full int) int {
 
 func main() {
 	quick := flag.Bool("quick", false, "reduced iteration counts")
-	only := flag.String("only", "", "run a subset of experiments by id, comma-separated (e.g. C3 or P2,R1)")
+	only := flag.String("only", "", "run a subset of experiments by id, comma-separated (e.g. C3 or C3,S1); an unknown id is an error")
 	list := flag.Bool("list", false, "print the experiment index and exit")
 	noMetrics := flag.Bool("no-metrics", false, "suppress the per-experiment metrics JSON blocks")
-	benchOut := flag.String("bench-out", "", "write each experiment's headline numbers (Table.Values) to this JSON file")
-	traceSample := flag.Float64("trace-sample", 0, "trace this fraction of injected events in the perf experiments (0 disables)")
-	traceAddr := flag.String("trace-addr", "", "serve /debug/traces and pprof on this address while experiments run")
-	traceOut := flag.String("trace-out", "", "write collected spans as Chrome trace_event JSON (load in chrome://tracing)")
 	chaosRun := flag.Bool("chaos", false, "run the chaos scenario suite instead of the experiments")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "fault schedule seed for -chaos (same seed, same faults)")
 	chaosOnly := flag.String("chaos-only", "", "run a single chaos scenario by name")
@@ -138,7 +117,6 @@ func main() {
 	haSmoke := flag.Bool("ha-smoke", false, "run the 3-replica kill-leader failover smoke and exit (0 = all invariants held)")
 	haSmokeSeed := flag.Uint64("ha-smoke-seed", 1, "fault schedule seed for -ha-smoke")
 	campaignAutopsyMax := flag.Int("campaign-autopsy-max", 0, "cap how many failing campaign runs persist autopsies under -autopsy-dir (0 = default cap, negative = unlimited)")
-	floors := flag.String("floor", "", "comma-separated key=min checks against experiment headline values (e.g. p2_max_events_per_sec=20000); exit nonzero if any value is missing or below its floor")
 	flag.Parse()
 
 	if *smokeIters > 0 {
@@ -164,34 +142,24 @@ func main() {
 		}))
 	}
 
-	var tracer *trace.Tracer
-	if *traceSample > 0 || *traceAddr != "" || *traceOut != "" {
-		tracer = trace.New(trace.Options{SampleRate: *traceSample})
-		experiments.SetTracer(tracer)
-	}
-	if *traceAddr != "" {
-		go func() {
-			srv := &http.Server{Addr: *traceAddr, Handler: trace.NewDebugMux(tracer, nil)}
-			fmt.Printf("traces on http://%s/debug/traces\n", *traceAddr)
-			if err := srv.ListenAndServe(); err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "legosdn-bench: trace server: %v\n", err)
-			}
-		}()
-	}
-
 	if *list {
 		for _, e := range index {
 			fmt.Printf("%-4s %s\n", e.id, e.title)
 		}
 		return
 	}
-	ran := 0
-	start := time.Now()
-	results := benchResults{Generated: start.UTC().Format(time.RFC3339), Experiments: map[string]benchResult{}}
-	for _, e := range index {
-		if !wantExperiment(*only, e.id) {
-			continue
+	run, unknown := selectExperiments(*only)
+	if len(unknown) > 0 {
+		ids := make([]string, len(index))
+		for i, e := range index {
+			ids[i] = e.id
 		}
+		fmt.Fprintf(os.Stderr, "legosdn-bench: unknown experiment id(s) %q in -only (have: %s)\n",
+			unknown, strings.Join(ids, ", "))
+		os.Exit(exitSetupError)
+	}
+	start := time.Now()
+	for _, e := range run {
 		t0 := time.Now()
 		table := e.run(*quick)
 		fmt.Println(table.Render())
@@ -202,100 +170,36 @@ func main() {
 				fmt.Printf("metrics %s %s\n", e.id, b)
 			}
 		}
-		if table.Values != nil {
-			results.Experiments[table.ID] = benchResult{Title: table.Title, Values: table.Values}
-		}
 		fmt.Printf("(%s completed in %s)\n\n", e.id, time.Since(t0).Round(time.Millisecond))
-		ran++
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "legosdn-bench: no experiment %q (try -list)\n", *only)
-		os.Exit(2)
-	}
-	if *benchOut != "" {
-		b, err := json.MarshalIndent(results, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*benchOut, append(b, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "legosdn-bench: writing %s: %v\n", *benchOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err == nil {
-			err = tracer.WriteChrome(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "legosdn-bench: writing %s: %v\n", *traceOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (open in chrome://tracing)\n", *traceOut)
-	}
-	fmt.Printf("ran %d experiment(s) in %s\n", ran, time.Since(start).Round(time.Millisecond))
-	if *floors != "" {
-		if !checkFloors(*floors, results) {
-			os.Exit(1)
-		}
-	}
+	fmt.Printf("ran %d experiment(s) in %s\n", len(run), time.Since(start).Round(time.Millisecond))
 }
 
-// wantExperiment matches an experiment id against the comma-separated
-// -only spec (empty spec = run everything).
-func wantExperiment(spec, id string) bool {
+// selectExperiments resolves the comma-separated -only spec against the
+// index, in index order (empty spec = every experiment). Ids match
+// case-insensitively, surrounding whitespace ignored. Every id the index
+// does not have comes back in unknown, so a script naming a removed
+// experiment fails instead of silently running less.
+func selectExperiments(spec string) (run []experiment, unknown []string) {
 	if spec == "" {
-		return true
+		return index, nil
 	}
-	for _, want := range strings.Split(spec, ",") {
-		if strings.EqualFold(strings.TrimSpace(want), id) {
-			return true
-		}
-	}
-	return false
-}
-
-// checkFloors enforces -floor: every key=min pair must find a headline
-// value at or above the floor among the experiments that ran. This is
-// the CI regression gate for throughput numbers.
-func checkFloors(spec string, results benchResults) bool {
-	all := map[string]float64{}
-	for _, res := range results.Experiments {
-		for k, v := range res.Values {
-			all[k] = v
-		}
-	}
-	ok := true
-	for _, pair := range strings.Split(spec, ",") {
-		kv := strings.SplitN(strings.TrimSpace(pair), "=", 2)
-		if len(kv) != 2 {
-			fmt.Fprintf(os.Stderr, "legosdn-bench: bad -floor entry %q (want key=min)\n", pair)
-			ok = false
+	picked := make([]bool, len(index))
+	for _, raw := range strings.Split(spec, ",") {
+		id := strings.TrimSpace(raw)
+		i := slices.IndexFunc(index, func(e experiment) bool { return strings.EqualFold(e.id, id) })
+		if i < 0 {
+			unknown = append(unknown, id)
 			continue
 		}
-		want, err := strconv.ParseFloat(kv[1], 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "legosdn-bench: bad -floor value %q: %v\n", kv[1], err)
-			ok = false
-			continue
-		}
-		got, have := all[kv[0]]
-		switch {
-		case !have:
-			fmt.Fprintf(os.Stderr, "legosdn-bench: floor %s: value not produced by this run\n", kv[0])
-			ok = false
-		case got < want:
-			fmt.Fprintf(os.Stderr, "legosdn-bench: floor %s: %.0f below minimum %.0f\n", kv[0], got, want)
-			ok = false
-		default:
-			fmt.Printf("floor %s: %.0f >= %.0f ok\n", kv[0], got, want)
+		picked[i] = true
+	}
+	for i, e := range index {
+		if picked[i] {
+			run = append(run, e)
 		}
 	}
-	return ok
+	return run, unknown
 }
 
 // runChaos drives the chaos scenario library under one seed and prints
@@ -371,16 +275,4 @@ func runChaos(seed uint64, only string, verbose bool, autopsyDir string) int {
 		return exitInvariantFail
 	}
 	return exitOK
-}
-
-// benchResults is the -bench-out file layout: a timestamp plus each
-// experiment's headline numbers, so perf can be diffed across commits.
-type benchResults struct {
-	Generated   string                 `json:"generated"`
-	Experiments map[string]benchResult `json:"experiments"`
-}
-
-type benchResult struct {
-	Title  string             `json:"title"`
-	Values map[string]float64 `json:"values"`
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -26,6 +27,41 @@ func TestChaosScenarioNamesSorted(t *testing.T) {
 func TestRunChaosUnknownScenarioIsSetupError(t *testing.T) {
 	if code := runChaos(1, "no-such-scenario", false, ""); code != exitSetupError {
 		t.Fatalf("unknown scenario exited %d, want %d", code, exitSetupError)
+	}
+}
+
+// -only must account for every id in the spec: one known id must not
+// hide an unknown one, or a script naming a removed experiment silently
+// runs less than it asked for.
+func TestSelectExperiments(t *testing.T) {
+	var all []string
+	for _, e := range index {
+		all = append(all, e.id)
+	}
+	for _, tc := range []struct {
+		spec    string
+		run     []string
+		unknown []string
+	}{
+		{spec: "", run: all},
+		{spec: "C3", run: []string{"C3"}},
+		{spec: "c3, s1", run: []string{"C3", "S1"}},
+		{spec: " S1 ,C3,c3", run: []string{"C3", "S1"}}, // index order, no duplicates
+		{spec: "C3,P2", run: []string{"C3"}, unknown: []string{"P2"}},
+		{spec: "P2, r1", unknown: []string{"P2", "r1"}},
+		{spec: "C3,", run: []string{"C3"}, unknown: []string{""}},
+	} {
+		run, unknown := selectExperiments(tc.spec)
+		var ids []string
+		for _, e := range run {
+			ids = append(ids, e.id)
+		}
+		if !slices.Equal(ids, tc.run) {
+			t.Errorf("-only %q runs %v, want %v", tc.spec, ids, tc.run)
+		}
+		if !slices.Equal(unknown, tc.unknown) {
+			t.Errorf("-only %q unknown ids %q, want %q", tc.spec, unknown, tc.unknown)
+		}
 	}
 }
 

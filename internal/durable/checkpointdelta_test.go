@@ -9,54 +9,64 @@ import (
 
 // Delta-journaled checkpoints must survive a reopen byte-for-byte:
 // the WAL holds patches, the mirror and replay reconstruct full images.
+// The same puts journaled as full images reopen to the same history but
+// cost more log bytes — the saving delta mode exists for.
 func TestCheckpointLogDeltaPersistsAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenCheckpointLog(dir, 16, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Store().SetDeltaEvery(4)
-	state := bytes.Repeat([]byte("flow-entry-"), 200)
-	var want [][]byte
-	for i := 0; i < 10; i++ {
-		st := append([]byte(nil), state...)
-		st[i*13] = byte('A' + i)
-		state = st
-		want = append(want, st)
-		l.Store().Put("router", uint64(i+1), st)
-	}
-	if l.Store().DeltaSaves == 0 {
-		t.Fatal("no delta saves recorded — delta mode not active")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appended := map[int]uint64{}
+	for _, deltaEvery := range []int{1, 4} {
+		dir := t.TempDir()
+		l, err := OpenCheckpointLog(dir, 16, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Store().SetDeltaEvery(deltaEvery)
+		state := bytes.Repeat([]byte("flow-entry-"), 200)
+		var want [][]byte
+		for i := 0; i < 10; i++ {
+			st := append([]byte(nil), state...)
+			st[i*13] = byte('A' + i)
+			state = st
+			want = append(want, st)
+			l.Store().Put("router", uint64(i+1), st)
+		}
+		if deltaEvery > 1 && l.Store().DeltaSaves == 0 {
+			t.Fatal("no delta saves recorded — delta mode not active")
+		}
+		l.Flush()
+		appended[deltaEvery] = l.WAL().AppendedBytes()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	l2, err := OpenCheckpointLog(dir, 16, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if l2.Restored() != 10 {
-		t.Fatalf("restored %d, want 10 (skipped %d)", l2.Restored(), l2.SkippedRecords())
-	}
-	h := l2.Store().History("router")
-	if len(h) != 10 {
-		t.Fatalf("history %d, want 10", len(h))
-	}
-	for i, cp := range h {
-		if cp.Delta || !bytes.Equal(cp.State, want[i]) {
-			t.Fatalf("restored checkpoint %d does not match (delta=%v)", i, cp.Delta)
+		l2, err := OpenCheckpointLog(dir, 16, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l2.Close()
+		if l2.Restored() != 10 {
+			t.Fatalf("deltaEvery=%d: restored %d, want 10 (skipped %d)", deltaEvery, l2.Restored(), l2.SkippedRecords())
+		}
+		h := l2.Store().History("router")
+		if len(h) != 10 {
+			t.Fatalf("deltaEvery=%d: history %d, want 10", deltaEvery, len(h))
+		}
+		for i, cp := range h {
+			if cp.Delta || !bytes.Equal(cp.State, want[i]) {
+				t.Fatalf("deltaEvery=%d: restored checkpoint %d does not match (delta=%v)", deltaEvery, i, cp.Delta)
+			}
+		}
+		// And the reopened log keeps journaling against restored bases.
+		l2.Store().SetDeltaEvery(deltaEvery)
+		next := append([]byte(nil), want[9]...)
+		next[5] = 'Z'
+		l2.Store().Put("router", 11, next)
+		l2.Flush()
+		if got := l2.Store().Latest("router"); !bytes.Equal(got.State, next) {
+			t.Fatalf("deltaEvery=%d: post-reopen put lost", deltaEvery)
 		}
 	}
-	// And the reopened log keeps delta-journaling against restored bases.
-	l2.Store().SetDeltaEvery(4)
-	next := append([]byte(nil), want[9]...)
-	next[5] = 'Z'
-	l2.Store().Put("router", 11, next)
-	l2.Flush()
-	if got := l2.Store().Latest("router"); !bytes.Equal(got.State, next) {
-		t.Fatal("post-reopen delta put lost")
+	if appended[4] >= appended[1] {
+		t.Fatalf("delta mode journaled %d bytes, full images %d — deltas save nothing", appended[4], appended[1])
 	}
 }
 
@@ -178,36 +188,6 @@ func TestCheckpointLogPutNotBlockedDuringCompaction(t *testing.T) {
 // compactForTest drives one compaction through the worker, preserving
 // queue order.
 func (l *CheckpointLog) compactForTest() error {
-	if l.syncMode {
-		return l.compact()
-	}
 	l.Flush()
 	return l.compact()
-}
-
-// Sync-mode sink keeps the original semantics: errors surface to the
-// store synchronously, histories persist identically.
-func TestCheckpointLogSyncMode(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenCheckpointLog(dir, 8, Options{SyncCheckpointSink: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		l.Store().Put("app", uint64(i+1), []byte(fmt.Sprintf("s-%d", i)))
-	}
-	l.Store().Drop("app")
-	l.Store().Put("app", 9, []byte("after"))
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, err := OpenCheckpointLog(dir, 8, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	h := l2.Store().History("app")
-	if len(h) != 1 || string(h[0].State) != "after" {
-		t.Fatalf("sync-mode replay = %+v", h)
-	}
 }

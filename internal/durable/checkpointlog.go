@@ -28,7 +28,7 @@ const compactAfterSegments = 3
 // checkpoint histories survive a controller crash or upgrade — the
 // state the paper's §3.4 ten-second-upgrade path restores apps from.
 //
-// Persistence is asynchronous by default: the store's sink calls only
+// Persistence is asynchronous: the store's sink calls only
 // enqueue (under the store's lock, which fixes the on-disk order) and
 // a single worker goroutine drains the queue in batches, paying one
 // fsync per burst and running compactions off the store's lock — so
@@ -36,18 +36,15 @@ const compactAfterSegments = 3
 // checkpoint path. Close (and Flush) drain the queue, so a clean
 // shutdown loses nothing; a crash can lose only the enqueued tail,
 // which is the same window a crash-between-put-and-fsync always had.
-// Options.SyncCheckpointSink restores the old fully-synchronous
-// behavior (used as the overhead baseline in benchmarks).
 //
 // The log keeps its own bounded mirror of the histories — always full
 // images, reconstructed from deltas as they are appended — so
 // compaction can serialize a snapshot without re-entering the store.
 type CheckpointLog struct {
-	w        *WAL
-	store    *checkpoint.Store
-	syncMode bool
+	w     *WAL
+	store *checkpoint.Store
 
-	// Queue state (async mode). Enqueues happen under the store's lock,
+	// Queue state. Enqueues happen under the store's lock,
 	// which serializes them; qmu only protects against the worker.
 	qmu     sync.Mutex
 	qcond   *sync.Cond
@@ -56,8 +53,7 @@ type CheckpointLog struct {
 	wg      sync.WaitGroup
 
 	// mirror duplicates the store's bounded histories for snapshots.
-	// Owned by the worker in async mode (replay happens before the
-	// worker starts); serialized by the store's lock in sync mode.
+	// Owned by the worker (replay happens before the worker starts).
 	mirror    map[string][]checkpoint.Checkpoint
 	maxPerApp int
 
@@ -96,7 +92,6 @@ func OpenCheckpointLog(dir string, maxPerApp int, opts Options) (*CheckpointLog,
 	l := &CheckpointLog{
 		w:         w,
 		store:     checkpoint.NewStore(maxPerApp),
-		syncMode:  opts.SyncCheckpointSink,
 		mirror:    make(map[string][]checkpoint.Checkpoint),
 		maxPerApp: maxPerApp,
 	}
@@ -119,11 +114,9 @@ func OpenCheckpointLog(dir string, maxPerApp int, opts Options) (*CheckpointLog,
 		return nil, err
 	}
 	l.store.SetSink(l)
-	if !l.syncMode {
-		l.qcond = sync.NewCond(&l.qmu)
-		l.wg.Add(1)
-		go l.worker()
-	}
+	l.qcond = sync.NewCond(&l.qmu)
+	l.wg.Add(1)
+	go l.worker()
 	return l, nil
 }
 
@@ -141,9 +134,6 @@ func (l *CheckpointLog) WAL() *WAL { return l.w }
 // Flush blocks until every sink event enqueued before the call is on
 // disk — an explicit durability barrier for tests and benchmarks.
 func (l *CheckpointLog) Flush() {
-	if l.syncMode {
-		return
-	}
 	ch := make(chan struct{})
 	l.qmu.Lock()
 	if l.qclosed {
@@ -160,40 +150,30 @@ func (l *CheckpointLog) Flush() {
 // keeps working in memory.
 func (l *CheckpointLog) Close() error {
 	l.store.SetSink(nil)
-	if !l.syncMode {
-		l.qmu.Lock()
-		if !l.qclosed {
-			l.qclosed = true
-			l.qcond.Broadcast()
-		}
-		l.qmu.Unlock()
-		l.wg.Wait()
+	l.qmu.Lock()
+	if !l.qclosed {
+		l.qclosed = true
+		l.qcond.Broadcast()
 	}
+	l.qmu.Unlock()
+	l.wg.Wait()
 	return l.w.Close()
 }
 
 // AppendCheckpoint implements checkpoint.Sink. Called under the
-// store's lock — which fixes the on-disk order — but in async mode it
-// only enqueues; the worker does the writing and fsyncing.
+// store's lock — which fixes the on-disk order — but it only
+// enqueues; the worker does the writing and fsyncing.
 func (l *CheckpointLog) AppendCheckpoint(cp checkpoint.Checkpoint) error {
 	// The state slice crosses into the worker goroutine; detach it from
 	// anything the caller may hold.
 	cp.State = append([]byte(nil), cp.State...)
-	op := sinkOp{cp: cp}
-	if l.syncMode {
-		return l.applyOne(op)
-	}
-	return l.enqueue(op)
+	return l.enqueue(sinkOp{cp: cp})
 }
 
 // AppendDrop implements checkpoint.Sink: journal the drop and purge
 // the mirror, so compaction cannot resurrect the history.
 func (l *CheckpointLog) AppendDrop(app string) error {
-	op := sinkOp{drop: true, app: app}
-	if l.syncMode {
-		return l.applyOne(op)
-	}
-	return l.enqueue(op)
+	return l.enqueue(sinkOp{drop: true, app: app})
 }
 
 func (l *CheckpointLog) enqueue(op sinkOp) error {
@@ -235,25 +215,10 @@ func (l *CheckpointLog) worker() {
 	}
 }
 
-// applyOne is the sync-mode path: one op, written and fsynced before
-// the store's Put returns; errors go back to the store.
-func (l *CheckpointLog) applyOne(op sinkOp) error {
-	rec := encodeOp(op)
-	if err := l.w.Append(rec.Type, rec.Payload); err != nil {
-		return err
-	}
-	l.applyMirror(op)
-	if l.w.SegmentCount() > compactAfterSegments {
-		return l.compact()
-	}
-	return nil
-}
-
 // applyOps writes a drained batch. Records are flushed in sub-batches
 // bounded by half a segment so the compaction check between sub-
 // batches keeps the invariant that the log never exceeds
-// compactAfterSegments+1 live segments — the same bound the
-// synchronous path maintains.
+// compactAfterSegments+1 live segments.
 func (l *CheckpointLog) applyOps(ops []sinkOp) {
 	limit := l.w.opts.SegmentBytes / 2
 	var pending []sinkOp

@@ -92,11 +92,6 @@ type Options struct {
 	// latency under concurrency drops from one fsync per record to one
 	// per batch.
 	GroupCommit bool
-	// SyncCheckpointSink is read by OpenCheckpointLog, not the WAL: it
-	// disables the asynchronous checkpoint sink queue so every Put
-	// writes and fsyncs under the store's lock — the pre-group-commit
-	// behavior, kept as the overhead baseline for benchmarks.
-	SyncCheckpointSink bool
 }
 
 func (o *Options) fill() {

@@ -384,42 +384,3 @@ func ClaimInvariantEscalation() Table {
 	}
 	return t
 }
-
-// All runs every experiment with harness-default parameters and
-// returns the tables in index order. quick shrinks iteration counts for
-// CI-speed runs.
-func All(quick bool) []Table {
-	events := 2000
-	corpus := 50
-	flows := 30
-	crashes := 10
-	if quick {
-		events, corpus, flows, crashes = 200, 12, 5, 3
-	}
-	return []Table{
-		Table1FateSharing(),
-		Table2AppSurvey(),
-		Figure1ArchLatency(events),
-		ClaimBugCorpus(corpus, 7),
-		ClaimControlLoop(flows),
-		ClaimNetLogRollback([]int{1, 2, 4, 8, 16, 32, 64}),
-		ClaimCrashPadRecovery(crashes),
-		ClaimEquivalence(),
-		ClaimUpgrade(6),
-		ClaimAtomicUpdate(),
-		ClaimCheckpointSweep([]int{1, 2, 4, 8, 16, 32}, events/2),
-		ClaimCloneSwitchover(200),
-		ClaimNVersion(120),
-		ClaimMCS(48),
-		ClaimResourceLimits(300),
-		ClaimInvariantEscalation(),
-		ClaimIncrementalCheckpoints(pickInt(quick, 200, 1000), 32<<10, 16),
-	}
-}
-
-func pickInt(quick bool, q, full int) int {
-	if quick {
-		return q
-	}
-	return full
-}

@@ -29,8 +29,7 @@ type Table struct {
 	// experiment ran (machine-readable companion to the rendered rows).
 	Metrics *metrics.Snapshot
 	// Values holds the experiment's headline numbers keyed by metric
-	// name — the machine-readable form cmd/legosdn-bench serializes
-	// into benchmark result files (e.g. BENCH_pr2.json).
+	// name, for tests to assert on.
 	Values map[string]float64
 }
 
@@ -86,13 +85,6 @@ func (t *Table) Render() string {
 		fmt.Fprintf(&sb, "note: %s\n", n)
 	}
 	return sb.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // us formats a duration in microseconds.

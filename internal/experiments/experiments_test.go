@@ -144,24 +144,6 @@ func TestClaimCheckpointSweep(t *testing.T) {
 	requireRow(t, tab, "8", "replayed at recovery", "7")
 }
 
-func TestClaimIncrementalCheckpoints(t *testing.T) {
-	tab := ClaimIncrementalCheckpoints(120, 8<<10, 8)
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// Both configurations must restore an intact latest image — the
-	// equal-recovery-guarantee half of the claim.
-	requireRow(t, tab, "full snapshot / put, sync fsync", "state intact", "yes")
-	requireRow(t, tab, "delta every 8, async group commit", "state intact", "yes")
-	// And the overhead halves: fewer bytes synced, cheaper puts.
-	if tab.Values["bytes_reduction"] < 2 {
-		t.Fatalf("bytes reduction %.1fx — delta mode not saving bytes", tab.Values["bytes_reduction"])
-	}
-	if tab.Values["p50_speedup"] < 1 {
-		t.Fatalf("p50 speedup %.1fx — async sink slower than sync baseline", tab.Values["p50_speedup"])
-	}
-}
-
 func TestClaimCloneSwitchover(t *testing.T) {
 	tab := ClaimCloneSwitchover(60)
 	requireRow(t, tab, "primary + hot clone", "crash masked", "yes")

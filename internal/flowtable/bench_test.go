@@ -44,10 +44,9 @@ func benchTable(n int) (*Table, []openflow.PacketFields) {
 	return ft, packets
 }
 
-// BenchmarkLookup compares the indexed hot path against the retained
+// BenchmarkLookup compares the indexed hot path against the
 // linear-scan reference at growing table sizes. The indexed path must
-// report zero allocations; the 10k-entry speedup is the headline the
-// P2 experiment records in BENCH_pr7.json.
+// report zero allocations.
 func BenchmarkLookup(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		ft, packets := benchTable(n)

@@ -9,8 +9,8 @@
 // Lookup is the data-plane hot path and runs against a priority-bucketed
 // index (see index.go) under a read lock, with per-entry statistics kept
 // in atomics so concurrent lookups never contend or race. The original
-// linear scan survives as an unexported reference implementation that
-// the property tests and benchmarks compare against.
+// linear scan survives in index_test.go as the reference the property
+// tests and benchmarks compare against.
 package flowtable
 
 import (
@@ -369,35 +369,6 @@ func (t *Table) Lookup(p openflow.PacketFields, size int) *Entry {
 		onDepth(depth)
 	}
 	return best
-}
-
-// lookupLinear is the pre-index reference implementation: walk every
-// entry, keep the highest priority, break ties on the precomputed
-// match key. Retained so property tests can assert the index returns
-// byte-identical results and benchmarks can measure the speedup.
-// Caller holds at least the read lock. Does not touch counters.
-func (t *Table) lookupLinear(p openflow.PacketFields) *Entry {
-	var best *Entry
-	for _, e := range t.entries {
-		if !e.Match.Matches(p) {
-			continue
-		}
-		if best == nil || e.Priority > best.Priority ||
-			(e.Priority == best.Priority && e.tieKey < best.tieKey) {
-			best = e
-		}
-	}
-	return best
-}
-
-// LookupLinear runs the retained linear-scan reference implementation
-// without updating counters. It exists for differential testing and
-// for benchmarking the index against its predecessor; the hot path
-// never calls it.
-func (t *Table) LookupLinear(p openflow.PacketFields) *Entry {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.lookupLinear(p)
 }
 
 // Peek returns a deep copy of the highest-priority entry matching the

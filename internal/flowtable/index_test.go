@@ -9,6 +9,27 @@ import (
 	"legosdn/internal/openflow"
 )
 
+// LookupLinear is the pre-index reference implementation: walk every
+// entry, keep the highest priority, break ties on the precomputed
+// match key. The differential tests assert the index returns the very
+// same entry and BenchmarkLookup measures the index against it. Does
+// not touch counters.
+func (t *Table) LookupLinear(p openflow.PacketFields) *Entry {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var best *Entry
+	for _, e := range t.entries {
+		if !e.Match.Matches(p) {
+			continue
+		}
+		if best == nil || e.Priority > best.Priority ||
+			(e.Priority == best.Priority && e.tieKey < best.tieKey) {
+			best = e
+		}
+	}
+	return best
+}
+
 // Generators use small field domains so random tables and packets
 // collide often: exact hits, wildcard hits, priority ties, and misses
 // all occur within a few dozen draws.
