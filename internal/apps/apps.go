@@ -8,8 +8,6 @@
 package apps
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"sync"
 
@@ -146,11 +144,7 @@ func (a *LearningSwitch) HandleEvent(ctx controller.Context, ev controller.Event
 		return nil // not a frame we understand; let it drop
 	}
 	a.mu.Lock()
-	table := a.macs[ev.DPID]
-	if table == nil {
-		table = make(map[openflow.EthAddr]uint16)
-		a.macs[ev.DPID] = table
-	}
+	table := nested(a.macs, ev.DPID)
 	if !f.src.IsMulticast() {
 		table[f.src] = pin.InPort
 	}
@@ -190,21 +184,30 @@ func (a *LearningSwitch) HandleEvent(ctx controller.Context, ev controller.Event
 	})
 }
 
-// Snapshot implements controller.Snapshotter.
+// Snapshot implements controller.Snapshotter: per switch, one (mac,
+// port) record per learned address.
 func (a *LearningSwitch) Snapshot() ([]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(a.macs); err != nil {
-		return nil, err
+	b := newImage(tagLearningSwitch, listHead*len(a.macs)+8*leafCount(a.macs))
+	var outer, inner [sortedRoom]uint64
+	for _, dpid := range sortedWords(outer[:0], a.macs, keyWord) {
+		b = appendList(b, dpid, len(a.macs[dpid]))
+		for _, w := range sortedWords(inner[:0], a.macs[dpid], macPort) {
+			b = be.AppendUint64(b, w)
+		}
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // Restore implements controller.Snapshotter.
 func (a *LearningSwitch) Restore(state []byte) error {
 	macs := make(map[uint64]map[openflow.EthAddr]uint16)
-	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&macs); err != nil {
+	if _, err := readImage(state, tagLearningSwitch, 0, 8, func(dpid uint64, recs []byte) {
+		for table := nested(macs, dpid); len(recs) > 0; recs = recs[8:] {
+			table[openflow.EthAddr(recs[:6])] = be.Uint16(recs[6:])
+		}
+	}); err != nil {
 		return err
 	}
 	a.mu.Lock()

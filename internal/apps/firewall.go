@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sync/atomic"
 
 	"legosdn/internal/controller"
@@ -109,27 +107,32 @@ func (fw *Firewall) HandleEvent(ctx controller.Context, ev controller.Event) err
 	return nil
 }
 
-// fwState is the gob image of the firewall's dynamic state.
-type fwState struct {
-	Rules   []FirewallRule
-	Blocked uint64
-}
-
-// Snapshot implements controller.Snapshotter.
+// Snapshot implements controller.Snapshotter: the blocked count, then
+// one record per deny rule in evaluation order.
 func (fw *Firewall) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(fwState{Rules: fw.Rules, Blocked: fw.blocked.Load()})
-	return buf.Bytes(), err
+	b := newImage(tagFirewall, 8+listHead+11*len(fw.Rules))
+	b = appendList(be.AppendUint64(b, fw.blocked.Load()), 0, len(fw.Rules))
+	for _, r := range fw.Rules {
+		b = be.AppendUint32(be.AppendUint32(b, r.NwSrc), r.NwDst)
+		b = be.AppendUint16(append(b, r.NwProto), r.TpDst)
+	}
+	return b, nil
 }
 
 // Restore implements controller.Snapshotter.
 func (fw *Firewall) Restore(state []byte) error {
-	var s fwState
-	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&s); err != nil {
+	var rules []FirewallRule
+	hdr, err := readImage(state, tagFirewall, 8, 11, func(_ uint64, recs []byte) {
+		for ; len(recs) > 0; recs = recs[11:] {
+			rules = append(rules, FirewallRule{NwSrc: be.Uint32(recs), NwDst: be.Uint32(recs[4:]),
+				NwProto: recs[8], TpDst: be.Uint16(recs[9:])})
+		}
+	})
+	if err != nil {
 		return err
 	}
-	fw.Rules = s.Rules
-	fw.blocked.Store(s.Blocked)
+	fw.Rules = rules
+	fw.blocked.Store(be.Uint64(hdr))
 	return nil
 }
 
@@ -167,17 +170,16 @@ func (sc *StatsCollector) HandleEvent(_ controller.Context, ev controller.Event)
 
 // Snapshot implements controller.Snapshotter.
 func (sc *StatsCollector) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(*sc)
-	return buf.Bytes(), err
+	b := be.AppendUint64(newImage(tagStatsCollector, 24), sc.TotalPackets)
+	return be.AppendUint64(be.AppendUint64(b, sc.TotalBytes), sc.FlowsEnded), nil
 }
 
 // Restore implements controller.Snapshotter.
 func (sc *StatsCollector) Restore(state []byte) error {
-	var s StatsCollector
-	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&s); err != nil {
+	hdr, err := readImage(state, tagStatsCollector, 24, 0, func(uint64, []byte) {})
+	if err != nil {
 		return err
 	}
-	*sc = s
+	sc.TotalPackets, sc.TotalBytes, sc.FlowsEnded = be.Uint64(hdr), be.Uint64(hdr[8:]), be.Uint64(hdr[16:])
 	return nil
 }

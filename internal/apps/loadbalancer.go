@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"bytes"
-	"encoding/gob"
 	"hash/fnv"
 	"sync"
 
@@ -70,12 +68,7 @@ func (lb *LoadBalancer) HandleEvent(ctx controller.Context, ev controller.Event)
 	port := uplinks[int(hash5Tuple(fields)%uint32(len(uplinks)))]
 
 	lb.mu.Lock()
-	counts := lb.assigned[ev.DPID]
-	if counts == nil {
-		counts = make(map[uint16]uint64)
-		lb.assigned[ev.DPID] = counts
-	}
-	counts[port]++
+	nested(lb.assigned, ev.DPID)[port]++
 	lb.mu.Unlock()
 
 	m := openflow.MatchAll()
@@ -142,31 +135,34 @@ func hash5Tuple(p openflow.PacketFields) uint32 {
 	return h.Sum32()
 }
 
-// lbState is the gob image of the balancer's dynamic state.
-type lbState struct {
-	Assigned map[uint64]map[uint16]uint64
-}
-
-// Snapshot implements controller.Snapshotter.
+// Snapshot implements controller.Snapshotter: per switch, one (port,
+// flows) record per uplink in use.
 func (lb *LoadBalancer) Snapshot() ([]byte, error) {
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(lbState{Assigned: lb.assigned})
-	return buf.Bytes(), err
+	b := newImage(tagLoadBalancer, listHead*len(lb.assigned)+10*leafCount(lb.assigned))
+	var outer, inner [sortedRoom]uint64
+	for _, dpid := range sortedWords(outer[:0], lb.assigned, keyWord) {
+		b = appendList(b, dpid, len(lb.assigned[dpid]))
+		for _, port := range sortedWords(inner[:0], lb.assigned[dpid], keyWord) {
+			b = be.AppendUint64(be.AppendUint16(b, uint16(port)), lb.assigned[dpid][uint16(port)])
+		}
+	}
+	return b, nil
 }
 
 // Restore implements controller.Snapshotter.
 func (lb *LoadBalancer) Restore(state []byte) error {
-	var s lbState
-	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&s); err != nil {
+	assigned := make(map[uint64]map[uint16]uint64)
+	if _, err := readImage(state, tagLoadBalancer, 0, 10, func(dpid uint64, recs []byte) {
+		for counts := nested(assigned, dpid); len(recs) > 0; recs = recs[10:] {
+			counts[be.Uint16(recs)] = be.Uint64(recs[2:])
+		}
+	}); err != nil {
 		return err
-	}
-	if s.Assigned == nil {
-		s.Assigned = make(map[uint64]map[uint16]uint64)
 	}
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
-	lb.assigned = s.Assigned
+	lb.assigned = assigned
 	return nil
 }

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sync"
 
 	"legosdn/internal/controller"
@@ -216,33 +214,36 @@ func (r *ShortestPathRouter) pathOutPorts(ctx controller.Context, path []uint64,
 	return out, true
 }
 
-// routerState is the gob image of the router.
-type routerState struct {
-	HostAt map[openflow.EthAddr]attachment
-	Paths  int
-}
-
-// Snapshot implements controller.Snapshotter.
+// Snapshot implements controller.Snapshotter: the installed-path count,
+// then one (mac, port, dpid) record per known host.
 func (r *ShortestPathRouter) Snapshot() ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(routerState{HostAt: r.hostAt, Paths: r.pathsInstalled})
-	return buf.Bytes(), err
+	b := newImage(tagRouter, 8+listHead+16*len(r.hostAt))
+	b = appendList(be.AppendUint64(b, uint64(r.pathsInstalled)), 0, len(r.hostAt))
+	var room [sortedRoom]uint64
+	hosts := sortedWords(room[:0], r.hostAt, func(mac openflow.EthAddr, at attachment) uint64 { return macPort(mac, at.Port) })
+	for _, w := range hosts {
+		b = be.AppendUint64(b, w)
+		b = be.AppendUint64(b, r.hostAt[openflow.EthAddr(b[len(b)-8:])].DPID)
+	}
+	return b, nil
 }
 
 // Restore implements controller.Snapshotter.
 func (r *ShortestPathRouter) Restore(state []byte) error {
-	var s routerState
-	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&s); err != nil {
+	hostAt := make(map[openflow.EthAddr]attachment)
+	hdr, err := readImage(state, tagRouter, 8, 16, func(_ uint64, recs []byte) {
+		for ; len(recs) > 0; recs = recs[16:] {
+			hostAt[openflow.EthAddr(recs[:6])] = attachment{be.Uint64(recs[8:]), be.Uint16(recs[6:])}
+		}
+	})
+	if err != nil {
 		return err
-	}
-	if s.HostAt == nil {
-		s.HostAt = make(map[openflow.EthAddr]attachment)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.hostAt = s.HostAt
-	r.pathsInstalled = s.Paths
+	r.hostAt = hostAt
+	r.pathsInstalled = int(be.Uint64(hdr))
 	return nil
 }

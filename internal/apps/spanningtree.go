@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sort"
 	"sync"
 
@@ -100,10 +98,7 @@ func (st *SpanningTree) Recompute(ctx controller.Context) error {
 	// traversal crosses (both directions).
 	treePort := make(map[uint64]map[uint16]bool)
 	markTree := func(dpid uint64, port uint16) {
-		if treePort[dpid] == nil {
-			treePort[dpid] = make(map[uint16]bool)
-		}
-		treePort[dpid][port] = true
+		nested(treePort, dpid)[port] = true
 	}
 	visited := map[uint64]bool{switches[0]: true}
 	queue := []uint64{switches[0]}
@@ -131,10 +126,7 @@ func (st *SpanningTree) Recompute(ctx controller.Context) error {
 	desired := make(map[uint64]map[uint16]bool)
 	for _, l := range links {
 		if !treePort[l.SrcDPID][l.SrcPort] {
-			if desired[l.SrcDPID] == nil {
-				desired[l.SrcDPID] = make(map[uint16]bool)
-			}
-			desired[l.SrcDPID][l.SrcPort] = true
+			nested(desired, l.SrcDPID)[l.SrcPort] = true
 		}
 	}
 
@@ -177,33 +169,37 @@ func (st *SpanningTree) Recompute(ctx controller.Context) error {
 	return nil
 }
 
-// stpState is the gob image.
-type stpState struct {
-	Blocked    map[uint64]map[uint16]bool
-	Recomputes int
-}
-
-// Snapshot implements controller.Snapshotter.
+// Snapshot implements controller.Snapshotter: the recompute count, then
+// per switch its blocked ports.
 func (st *SpanningTree) Snapshot() ([]byte, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(stpState{Blocked: st.blocked, Recomputes: st.recomputes})
-	return buf.Bytes(), err
+	b := newImage(tagSpanningTree, 8+listHead*len(st.blocked)+2*leafCount(st.blocked))
+	b = be.AppendUint64(b, uint64(st.recomputes))
+	var outer, inner [sortedRoom]uint64
+	for _, dpid := range sortedWords(outer[:0], st.blocked, keyWord) {
+		b = appendList(b, dpid, len(st.blocked[dpid]))
+		for _, port := range sortedWords(inner[:0], st.blocked[dpid], keyWord) {
+			b = be.AppendUint16(b, uint16(port))
+		}
+	}
+	return b, nil
 }
 
 // Restore implements controller.Snapshotter.
 func (st *SpanningTree) Restore(state []byte) error {
-	var s stpState
-	if err := gob.NewDecoder(bytes.NewReader(state)).Decode(&s); err != nil {
+	blocked := make(map[uint64]map[uint16]bool)
+	hdr, err := readImage(state, tagSpanningTree, 8, 2, func(dpid uint64, recs []byte) {
+		for ports := nested(blocked, dpid); len(recs) > 0; recs = recs[2:] {
+			ports[be.Uint16(recs)] = true
+		}
+	})
+	if err != nil {
 		return err
-	}
-	if s.Blocked == nil {
-		s.Blocked = make(map[uint64]map[uint16]bool)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.blocked = s.Blocked
-	st.recomputes = s.Recomputes
+	st.blocked = blocked
+	st.recomputes = int(be.Uint64(hdr))
 	return nil
 }

@@ -2,6 +2,7 @@ package appvisor
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"legosdn/internal/controller"
@@ -97,5 +98,28 @@ func FuzzDecodeCrash(f *testing.F) {
 			t.Fatalf("crash round-trip diverged: %q %q %v", reason2, stack2, err)
 		}
 		_, _ = decodeCrashIndex(b)
+	})
+}
+
+func FuzzDecodeEventDone(f *testing.F) {
+	f.Add(eventDonePayload(nil, []byte("image")))
+	f.Add(eventDonePayload(errors.New("handler error"), []byte{}))
+	f.Add(eventDonePayload(errors.New("no image"), nil))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		status, image, ok := decodeEventDone(b)
+		if !ok {
+			return
+		}
+		// The image aliases the input (nothing is allocated for it) and
+		// the pair re-encodes to a payload that decodes identically.
+		if len(image) > len(b) {
+			t.Fatalf("image %d bytes from %d", len(image), len(b))
+		}
+		status2, image2, ok2 := decodeEventDone(eventDonePayload(status, image))
+		if !ok2 || (image2 == nil) != (image == nil) || !bytes.Equal(image2, image) || (status == nil) != (status2 == nil) {
+			t.Fatalf("round trip diverged: %d/%d image bytes, ok %v", len(image), len(image2), ok2)
+		}
 	})
 }

@@ -157,6 +157,12 @@ type Proxy struct {
 	waiters    map[uint64]chan *datagram
 	registered chan struct{}
 	lastCrash  *CrashReport
+	// The checkpoint rides the reply: Snapshot sets checkpointed, so the
+	// next single event goes out as a dgEventImage, and image holds what
+	// its reply carried — the app's state until an event, Restore, Respawn
+	// or a crash could change it, which drops it. nil: none held.
+	checkpointed bool
+	image        []byte
 
 	nextID   atomic.Uint64
 	lastBeat atomic.Int64 // unix nanos of last heartbeat
@@ -284,6 +290,7 @@ func (p *Proxy) spawn() error {
 // come up is retried on the options' bounded, jittered exponential
 // backoff rather than abandoning the app after one try.
 func (p *Proxy) Respawn() error {
+	p.dropImage()
 	p.mu.Lock()
 	old := p.stub
 	p.mu.Unlock()
@@ -377,9 +384,6 @@ func (p *Proxy) HandleEvent(_ controller.Context, ev controller.Event) error {
 	if !p.stubUp.Load() {
 		return ErrStubDown
 	}
-	p.inFlight.Store(&ev)
-	defer p.inFlight.Store(nil)
-
 	// The relay span covers encode → UDP → stub handler → ack; the stub
 	// opens its own child span from the wire-propagated context.
 	if sp := p.opts.Tracer.StartSpan(ev.Trace, "appvisor.relay"); sp != nil {
@@ -391,24 +395,7 @@ func (p *Proxy) HandleEvent(_ controller.Context, ev controller.Event) error {
 	if err != nil {
 		return err
 	}
-	d, err := p.rpcToStub(&datagram{Type: dgEvent, ID: p.nextID.Add(1), Payload: payload}, p.opts.EventTimeout)
-	if err != nil {
-		// Timeout or socket failure: communication failure is crash
-		// detection signal #1 in §4.1.
-		report := p.noteCrash(CrashTimeout, err.Error(), "", &ev)
-		return &CrashError{Report: report}
-	}
-	if d.Type == dgCrash {
-		reason, stack, _ := decodeCrash(d.Payload)
-		report := p.noteCrash(CrashReported, reason, stack, &ev)
-		return &CrashError{Report: report}
-	}
-	status, _, ok := decodeStatus(d.Payload)
-	if !ok {
-		return ErrBadDatagram
-	}
-	p.EventsRelayed.Add(1)
-	return status
+	return p.deliver(p.dropImage(), payload, p.opts.EventTimeout, []controller.Event{ev})
 }
 
 // HandleEventBatch implements controller.BatchApp: N events ride one
@@ -425,9 +412,6 @@ func (p *Proxy) HandleEventBatch(_ controller.Context, evs []controller.Event) e
 	if !p.stubUp.Load() {
 		return ErrStubDown
 	}
-	p.inFlight.Store(&evs[0])
-	defer p.inFlight.Store(nil)
-
 	// One relay span for the whole batched round trip; each traced
 	// event is re-parented under it so stub-side handler spans nest
 	// correctly even when only some batch members are sampled.
@@ -444,13 +428,21 @@ func (p *Proxy) HandleEventBatch(_ controller.Context, evs []controller.Event) e
 	if err != nil {
 		return err
 	}
+	p.dropImage()
 	// The per-event budget scales with the batch: a full batch is N
 	// sequential handler runs on the stub side.
-	timeout := time.Duration(len(evs)) * p.opts.EventTimeout
-	d, err := p.rpcToStub(&datagram{Type: dgEventBatch, ID: p.nextID.Add(1), Payload: payload}, timeout)
+	return p.deliver(dgEventBatch, payload, time.Duration(len(evs))*p.opts.EventTimeout, evs)
+}
+
+// deliver round-trips one event datagram carrying evs. A timeout or
+// socket failure is crash detection signal #1 in §4.1, a crash report
+// names the culprit, an image behind the status is kept for Snapshot.
+func (p *Proxy) deliver(typ uint8, payload []byte, timeout time.Duration, evs []controller.Event) error {
+	p.inFlight.Store(&evs[0])
+	defer p.inFlight.Store(nil)
+	d, err := p.rpcToStub(&datagram{Type: typ, ID: p.nextID.Add(1), Payload: payload}, timeout)
 	if err != nil {
-		report := p.noteCrash(CrashTimeout, err.Error(), "", &evs[0])
-		return &CrashError{Report: report}
+		return &CrashError{Report: p.noteCrash(CrashTimeout, err.Error(), "", &evs[0])}
 	}
 	if d.Type == dgCrash {
 		reason, stack, _ := decodeCrash(d.Payload)
@@ -458,28 +450,72 @@ func (p *Proxy) HandleEventBatch(_ controller.Context, evs []controller.Event) e
 		if idx, ok := decodeCrashIndex(d.Payload); ok && idx < len(evs) {
 			culprit = &evs[idx]
 		}
-		report := p.noteCrash(CrashReported, reason, stack, culprit)
-		return &CrashError{Report: report}
+		return &CrashError{Report: p.noteCrash(CrashReported, reason, stack, culprit)}
 	}
-	status, _, ok := decodeStatus(d.Payload)
+	status, image, ok := decodeEventDone(d.Payload)
 	if !ok {
 		return ErrBadDatagram
+	}
+	if image != nil {
+		p.mu.Lock()
+		p.image = image
+		p.mu.Unlock()
 	}
 	p.EventsRelayed.Add(uint64(len(evs)))
 	return status
 }
 
-// Snapshot implements controller.Snapshotter by RPC to the stub.
+// dropImage forgets the held image because the app is about to change,
+// and returns the type a single event goes out as: the one that asks for
+// the next image if the controller checkpointed since the last event.
+func (p *Proxy) dropImage() (eventType uint8) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	eventType = dgEvent
+	if p.checkpointed {
+		eventType = dgEventImage
+	}
+	p.checkpointed, p.image = false, nil
+	return eventType
+}
+
+// Snapshot implements controller.Snapshotter: the image the last event's
+// reply carried while it is still the app's state (callers must not
+// modify it), otherwise an RPC to the stub.
 func (p *Proxy) Snapshot() ([]byte, error) {
+	p.mu.Lock()
+	p.checkpointed = true
+	image := p.image
+	p.mu.Unlock()
+	if image != nil && p.stubUp.Load() {
+		return image, nil
+	}
+	return p.stateRPC("snapshot", &datagram{Type: dgSnapshotReq})
+}
+
+// Restore implements controller.Snapshotter by RPC to the stub.
+func (p *Proxy) Restore(state []byte) error {
+	p.dropImage()
+	_, err := p.stateRPC("restore", &datagram{Type: dgRestoreReq, Payload: state})
+	return err
+}
+
+// stateRPC round-trips a snapshot or restore request and returns what
+// follows the status in its reply. An app that panicked in the call took
+// its stub down: the crash is recorded like a handler's.
+func (p *Proxy) stateRPC(op string, d *datagram) ([]byte, error) {
 	if !p.stubUp.Load() {
 		return nil, ErrStubDown
 	}
-	d, err := p.rpcToStub(&datagram{Type: dgSnapshotReq, ID: p.nextID.Add(1)}, p.opts.EventTimeout)
+	d.ID = p.nextID.Add(1)
+	d, err := p.rpcToStub(d, p.opts.EventTimeout)
 	if err != nil {
 		return nil, err
 	}
 	if d.Type == dgCrash {
-		return nil, fmt.Errorf("appvisor: app crashed during snapshot")
+		reason, stack, _ := decodeCrash(d.Payload)
+		p.noteCrash(CrashReported, reason, stack, nil)
+		return nil, fmt.Errorf("appvisor: app crashed during %s: %s", op, reason)
 	}
 	status, rest, ok := decodeStatus(d.Payload)
 	if !ok {
@@ -489,25 +525,6 @@ func (p *Proxy) Snapshot() ([]byte, error) {
 		return nil, status
 	}
 	return rest, nil
-}
-
-// Restore implements controller.Snapshotter by RPC to the stub.
-func (p *Proxy) Restore(state []byte) error {
-	if !p.stubUp.Load() {
-		return ErrStubDown
-	}
-	d, err := p.rpcToStub(&datagram{Type: dgRestoreReq, ID: p.nextID.Add(1), Payload: state}, p.opts.EventTimeout)
-	if err != nil {
-		return err
-	}
-	if d.Type == dgCrash {
-		return fmt.Errorf("appvisor: app crashed during restore")
-	}
-	status, _, ok := decodeStatus(d.Payload)
-	if !ok {
-		return ErrBadDatagram
-	}
-	return status
 }
 
 // noteCrash records a crash, fires the OnCrash hook and marks the stub
@@ -541,6 +558,7 @@ func (p *Proxy) noteCrash(reason CrashReason, panicValue, stack string, ev *cont
 	p.opts.Flight.Record(rec)
 	p.mu.Lock()
 	p.lastCrash = report
+	p.checkpointed, p.image = false, nil
 	stub := p.stub
 	p.mu.Unlock()
 	if stub != nil {
@@ -570,9 +588,7 @@ func (p *Proxy) monitorLoop() {
 				continue
 			}
 			if time.Since(time.Unix(0, last)) > p.opts.HeartbeatTimeout {
-				ev := p.inFlight.Load()
-				report := p.noteCrash(CrashHeartbeat, "heartbeat lost", "", ev)
-				_ = report
+				p.noteCrash(CrashHeartbeat, "heartbeat lost", "", p.inFlight.Load())
 				p.failWaiters()
 			}
 		}
@@ -590,42 +606,18 @@ func (p *Proxy) failWaiters() {
 }
 
 func (p *Proxy) sendTo(addr *net.UDPAddr, d *datagram) error {
-	if fp := p.wfault.Load(); fp != nil && (d.Type == dgEvent || d.Type == dgEventBatch) {
+	if fp := p.wfault.Load(); fp != nil && (d.Type == dgEvent || d.Type == dgEventImage || d.Type == dgEventBatch) {
 		verdict := (*fp)("proxy", p.Name(), d.Type)
-		handled, err := applyWireFault(verdict, d,
-			func(dd *datagram) error { return p.writeDatagram(addr, dd) },
-			func(b []byte) error { _, err := p.conn.WriteToUDP(b, addr); return err })
-		if handled {
+		if verdict != (WireVerdict{}) && d.Type == dgEventImage {
+			// A faulted send may reach the app twice or late; its reply's
+			// image would not be the app's state.
+			d.Type = dgEvent
+		}
+		if handled, err := applyWireFault(verdict, d, p.conn, addr); handled {
 			return err
 		}
 	}
-	return p.writeDatagram(addr, d)
-}
-
-func (p *Proxy) writeDatagram(addr *net.UDPAddr, d *datagram) error {
-	// Fast path: single-frame datagrams (all of steady-state event
-	// traffic) are framed into a pooled buffer, so sending allocates
-	// nothing. Oversized payloads fall back to fragmentation.
-	if len(d.Payload) <= maxDatagram-headerLen {
-		bp := wireBufPool.Get().(*[]byte)
-		b, err := appendDatagram((*bp)[:0], d)
-		if err == nil {
-			*bp = b[:0] // keep any growth for the next send
-			_, err = p.conn.WriteToUDP(b, addr)
-		}
-		wireBufPool.Put(bp)
-		return err
-	}
-	frames, err := marshalFrames(d)
-	if err != nil {
-		return err
-	}
-	for _, b := range frames {
-		if _, err := p.conn.WriteToUDP(b, addr); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeDatagram(p.conn, addr, d)
 }
 
 // rpcToStub sends one datagram and waits for its completion (matched by

@@ -134,54 +134,14 @@ func (s *Stub) terminate() {
 	s.mu.Unlock()
 }
 
-// die is the wrapper's crash path: report the panic to the proxy, then
-// terminate. A real stub process would exit here.
-func (s *Stub) die(reason string, stack []byte) {
-	s.dieWith(encodeCrash(reason, string(stack)))
-}
-
-// dieWith sends a pre-built crash payload (possibly carrying a batch
-// index) and terminates.
-func (s *Stub) dieWith(payload []byte) {
-	_ = s.send(&datagram{Type: dgCrash, Payload: payload})
-	s.terminate()
-}
-
 func (s *Stub) send(d *datagram) error {
 	if f := s.opts.WireFault; f != nil && d.Type == dgEventDone {
 		verdict := f("stub", s.app.Name(), d.Type)
-		handled, err := applyWireFault(verdict, d,
-			s.write,
-			func(b []byte) error { _, err := s.conn.Write(b); return err })
-		if handled {
+		if handled, err := applyWireFault(verdict, d, s.conn, nil); handled {
 			return err
 		}
 	}
-	return s.write(d)
-}
-
-func (s *Stub) write(d *datagram) error {
-	// Single-frame fast path through a pooled buffer; see Proxy.sendTo.
-	if len(d.Payload) <= maxDatagram-headerLen {
-		bp := wireBufPool.Get().(*[]byte)
-		b, err := appendDatagram((*bp)[:0], d)
-		if err == nil {
-			*bp = b[:0]
-			_, err = s.conn.Write(b)
-		}
-		wireBufPool.Put(bp)
-		return err
-	}
-	frames, err := marshalFrames(d)
-	if err != nil {
-		return err
-	}
-	for _, b := range frames {
-		if _, err := s.conn.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeDatagram(s.conn, nil, d)
 }
 
 func (s *Stub) readLoop() {
@@ -207,13 +167,13 @@ func (s *Stub) readLoop() {
 		switch d.Type {
 		case dgRegisterAck:
 			// Registration complete; nothing to store stub-side.
-		case dgEvent:
+		case dgEvent, dgEventImage:
 			ev, err := decodeEvent(d.Payload)
 			if err != nil {
 				_ = s.send(&datagram{Type: dgEventDone, ID: d.ID, Payload: statusPayload(err)})
 				continue
 			}
-			s.enqueue(stubWork{evs: []controller.Event{ev}, rpcID: d.ID})
+			s.enqueue(stubWork{evs: []controller.Event{ev}, rpcID: d.ID, image: d.Type == dgEventImage})
 		case dgEventBatch:
 			evs, err := decodeEventBatch(d.Payload)
 			if err != nil {
@@ -231,10 +191,10 @@ func (s *Stub) readLoop() {
 				w <- d
 			}
 		case dgSnapshotReq:
-			s.handleSnapshot(d.ID)
+			s.handleState(dgSnapshotReply, d.ID, controller.Snapshotter.Snapshot)
 		case dgRestoreReq:
 			d.detach() // the app's Restore may retain the state bytes
-			s.handleRestore(d.ID, d.Payload)
+			s.handleState(dgRestoreDone, d.ID, func(snap controller.Snapshotter) ([]byte, error) { return nil, snap.Restore(d.Payload) })
 		case dgShutdown:
 			s.terminate()
 			return
@@ -248,6 +208,7 @@ func (s *Stub) readLoop() {
 type stubWork struct {
 	evs   []controller.Event
 	rpcID uint64
+	image bool // dgEventImage: the ack carries the app's post-event image
 }
 
 func (s *Stub) enqueue(w stubWork) {
@@ -271,11 +232,32 @@ func (s *Stub) workLoop() {
 	}
 }
 
-// handleWork runs the app's handler inside the containment boundary,
-// event by event in delivery order. A panic mid-batch reports a crash
-// carrying the offending event's batch index, then kills the stub; the
-// rest of the batch dies with it, exactly as if each event had been
-// delivered separately.
+// contain runs app code inside the containment boundary. A panic closes
+// sp (the span the code ran under, may be nil), is reported to the proxy
+// — with batchIdx, when not negative, pinning it on one event of a batch
+// — and terminates the stub, where a real stub process would exit.
+func (s *Stub) contain(sp *trace.Span, batchIdx int, fn func()) (crashed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			crashed = true
+			sp.Attr("panic", fmt.Sprint(r))
+			sp.End()
+			payload := encodeCrash(fmt.Sprint(r), string(debug.Stack()))
+			if batchIdx >= 0 {
+				payload = appendCrashIndex(payload, batchIdx)
+			}
+			_ = s.send(&datagram{Type: dgCrash, Payload: payload})
+			s.terminate()
+		}
+	}()
+	fn()
+	return false
+}
+
+// handleWork runs the app's handler event by event in delivery order. A
+// panic mid-batch kills the stub and the rest of the batch with it, as if
+// each event had been delivered separately. For a dgEventImage the app is
+// snapshotted once its handler has returned, and the image rides the ack.
 func (s *Stub) handleWork(w stubWork) {
 	var firstErr error
 	for i, ev := range w.evs {
@@ -285,23 +267,11 @@ func (s *Stub) handleWork(w stubWork) {
 			sp.Attr("app", s.app.Name())
 			ev.Trace.SpanID = sp.Context().SpanID
 		}
-		crashed := func() (crashed bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					crashed = true
-					sp.Attr("panic", fmt.Sprint(r))
-					sp.End()
-					payload := encodeCrash(fmt.Sprint(r), string(debug.Stack()))
-					if len(w.evs) > 1 {
-						payload = appendCrashIndex(payload, i)
-					}
-					s.dieWith(payload)
-				}
-			}()
-			handlerErr = s.app.HandleEvent(&stubContext{s: s}, ev)
-			return false
-		}()
-		if crashed {
+		batchIdx := -1
+		if len(w.evs) > 1 {
+			batchIdx = i
+		}
+		if s.contain(sp, batchIdx, func() { handlerErr = s.app.HandleEvent(&stubContext{s: s}, ev) }) {
 			return
 		}
 		sp.End()
@@ -310,34 +280,39 @@ func (s *Stub) handleWork(w stubWork) {
 			firstErr = handlerErr
 		}
 	}
-	_ = s.send(&datagram{Type: dgEventDone, ID: w.rpcID, Payload: statusPayload(firstErr)})
+	var image []byte
+	if snap, err := s.snapshotter(); err == nil && w.image {
+		if s.contain(nil, -1, func() { image, err = snap.Snapshot() }) {
+			return
+		}
+		if err != nil {
+			image = nil
+		}
+	}
+	_ = s.send(&datagram{Type: dgEventDone, ID: w.rpcID, Payload: eventDonePayload(firstErr, image)})
 }
 
-func (s *Stub) handleSnapshot(id uint64) {
-	snap, ok := s.app.(controller.Snapshotter)
-	if !ok {
-		_ = s.send(&datagram{Type: dgSnapshotReply, ID: id,
-			Payload: statusPayload(fmt.Errorf("app %q does not snapshot", s.app.Name()))})
-		return
+func (s *Stub) snapshotter() (controller.Snapshotter, error) {
+	if snap, ok := s.app.(controller.Snapshotter); ok {
+		return snap, nil
 	}
-	state, err := snap.Snapshot()
-	if err != nil {
-		_ = s.send(&datagram{Type: dgSnapshotReply, ID: id, Payload: statusPayload(err)})
-		return
-	}
-	payload := append(statusPayload(nil), state...)
-	_ = s.send(&datagram{Type: dgSnapshotReply, ID: id, Payload: payload})
+	return nil, fmt.Errorf("app %q does not snapshot", s.app.Name())
 }
 
-func (s *Stub) handleRestore(id uint64, state []byte) {
-	snap, ok := s.app.(controller.Snapshotter)
-	if !ok {
-		_ = s.send(&datagram{Type: dgRestoreDone, ID: id,
-			Payload: statusPayload(fmt.Errorf("app %q does not snapshot", s.app.Name()))})
+// handleState answers a snapshot or restore request: call runs the
+// app's Snapshot or Restore, contained, because the read goroutine this
+// is on is as much the app's failure domain as the work goroutine.
+func (s *Stub) handleState(reply uint8, id uint64, call func(controller.Snapshotter) ([]byte, error)) {
+	var state []byte
+	snap, err := s.snapshotter()
+	if err == nil && s.contain(nil, -1, func() { state, err = call(snap) }) {
 		return
 	}
-	err := snap.Restore(state)
-	_ = s.send(&datagram{Type: dgRestoreDone, ID: id, Payload: statusPayload(err)})
+	payload := statusPayload(err)
+	if err == nil {
+		payload = append(payload, state...)
+	}
+	_ = s.send(&datagram{Type: reply, ID: id, Payload: payload})
 }
 
 func (s *Stub) heartbeatLoop() {
@@ -394,8 +369,9 @@ type stubContext struct {
 	s *Stub
 }
 
-func (c *stubContext) SendMessage(dpid uint64, msg openflow.Message) error {
-	d, err := c.s.rpc(opSendMessage, dpid, msg)
+// call performs a Context call whose reply is a bare status.
+func (c *stubContext) call(op uint8, dpid uint64, msg openflow.Message) error {
+	d, err := c.s.rpc(op, dpid, msg)
 	if err != nil {
 		return err
 	}
@@ -404,6 +380,10 @@ func (c *stubContext) SendMessage(dpid uint64, msg openflow.Message) error {
 		return ErrBadDatagram
 	}
 	return status
+}
+
+func (c *stubContext) SendMessage(dpid uint64, msg openflow.Message) error {
+	return c.call(opSendMessage, dpid, msg)
 }
 
 func (c *stubContext) SendFlowMod(dpid uint64, fm *openflow.FlowMod) error {
@@ -437,17 +417,7 @@ func (c *stubContext) RequestStats(dpid uint64, req *openflow.StatsRequest) (*op
 	return sr, nil
 }
 
-func (c *stubContext) Barrier(dpid uint64) error {
-	d, err := c.s.rpc(opBarrier, dpid, nil)
-	if err != nil {
-		return err
-	}
-	status, _, ok := decodeStatus(d.Payload)
-	if !ok {
-		return ErrBadDatagram
-	}
-	return status
-}
+func (c *stubContext) Barrier(dpid uint64) error { return c.call(opBarrier, dpid, nil) }
 
 func (c *stubContext) Switches() []uint64 {
 	d, err := c.s.rpc(opSwitches, 0, nil)

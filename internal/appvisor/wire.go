@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 
 	"legosdn/internal/controller"
@@ -39,6 +40,7 @@ const (
 	dgShutdown      uint8 = 12 // proxy -> stub: exit cleanly
 	dgCrash         uint8 = 13 // stub -> proxy: app crashed (wrapper's last gasp)
 	dgEventBatch    uint8 = 14 // proxy -> stub: deliver N events, one dgEventDone ack
+	dgEventImage    uint8 = 15 // proxy -> stub: dgEvent whose dgEventDone also carries the app's post-event image
 )
 
 // Context call opcodes carried by dgRequest.
@@ -57,8 +59,10 @@ const (
 	// single ack) and codec bounds checks. Version 3 widens the event
 	// payload with the trace and span ids (16 bytes between seq and the
 	// message flag), so a stub process joins the trace its proxy
-	// started. The header layout is unchanged.
-	wireVersion uint8 = 3
+	// started. Version 4 adds dgEventImage and the image a dgEventDone
+	// may carry behind its status (the checkpoint rides the reply). The
+	// header layout is unchanged.
+	wireVersion uint8 = 4
 	headerLen         = 12
 	// maxDatagram bounds a single UDP payload; events larger than this
 	// (possible only with pathological PacketIn payloads) are rejected.
@@ -80,14 +84,7 @@ type datagram struct {
 }
 
 func (d *datagram) marshal() ([]byte, error) {
-	if len(d.Payload) > maxDatagram-headerLen {
-		return nil, fmt.Errorf("appvisor: datagram payload %d too large", len(d.Payload))
-	}
-	b, err := appendDatagram(make([]byte, 0, headerLen+len(d.Payload)), d)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
+	return appendDatagram(make([]byte, 0, headerLen+len(d.Payload)), d)
 }
 
 // appendDatagram frames d onto dst and returns the extended slice. The
@@ -109,6 +106,43 @@ var wireBufPool = sync.Pool{
 		b := make([]byte, 0, 2048)
 		return &b
 	},
+}
+
+// writeFrame sends one framed datagram: to addr on the proxy's
+// unconnected socket, to the peer (addr nil) on a stub's connected one.
+func writeFrame(conn *net.UDPConn, addr *net.UDPAddr, b []byte) (err error) {
+	if addr == nil {
+		_, err = conn.Write(b)
+	} else {
+		_, err = conn.WriteToUDP(b, addr)
+	}
+	return err
+}
+
+// writeDatagram frames and sends d. Single-frame datagrams (all of
+// steady-state event traffic) are framed into a pooled buffer, so
+// sending allocates nothing; oversized payloads are fragmented.
+func writeDatagram(conn *net.UDPConn, addr *net.UDPAddr, d *datagram) error {
+	if len(d.Payload) <= maxDatagram-headerLen {
+		bp := wireBufPool.Get().(*[]byte)
+		b, err := appendDatagram((*bp)[:0], d)
+		if err == nil {
+			*bp = b[:0] // keep any growth for the next send
+			err = writeFrame(conn, addr, b)
+		}
+		wireBufPool.Put(bp)
+		return err
+	}
+	frames, err := marshalFrames(d)
+	if err != nil {
+		return err
+	}
+	for _, b := range frames {
+		if err := writeFrame(conn, addr, b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // parseDatagram decodes one frame, copying the payload so the result
@@ -279,6 +313,25 @@ func decodeStatus(b []byte) (error, []byte, bool) {
 		return nil, nil, false
 	}
 	return errors.New(string(b[3 : 3+n])), b[3+n:], true
+}
+
+// eventDonePayload is a dgEventDone body: the handler's status and, when
+// a dgEventImage's app was snapshotted (image not nil), 0x01 and the image.
+func eventDonePayload(status error, image []byte) []byte {
+	b := statusPayload(status)
+	if image == nil {
+		return b
+	}
+	return append(append(append(make([]byte, 0, len(b)+1+len(image)), b...), 1), image...)
+}
+
+// decodeEventDone is the inverse; image aliases b, nil when none came.
+func decodeEventDone(b []byte) (status error, image []byte, ok bool) {
+	status, rest, ok := decodeStatus(b)
+	if ok && len(rest) > 0 && rest[0] == 1 {
+		image = rest[1:]
+	}
+	return status, image, ok
 }
 
 // encodeEventBatch packs N events into one dgEventBatch payload:

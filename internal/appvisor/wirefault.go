@@ -1,6 +1,9 @@
 package appvisor
 
-import "time"
+import (
+	"net"
+	"time"
+)
 
 // WireAction is the fate a WireFault assigns to one outgoing datagram.
 type WireAction int
@@ -38,11 +41,11 @@ type WireVerdict struct {
 // not block: the hook runs on the sender's goroutine.
 type WireFault func(origin, app string, dgType uint8) WireVerdict
 
-// applyWireFault executes v for datagram d. write emits a framed
-// datagram; writeRaw emits pre-framed bytes (for corruption). handled
-// reports that the fault path consumed the send and the caller must not
-// write the datagram again.
-func applyWireFault(v WireVerdict, d *datagram, write func(*datagram) error, writeRaw func([]byte) error) (handled bool, err error) {
+// applyWireFault executes v for datagram d, bound for addr on conn (see
+// writeFrame). handled reports that the fault path consumed the send and
+// the caller must not write the datagram again.
+func applyWireFault(v WireVerdict, d *datagram, conn *net.UDPConn, addr *net.UDPAddr) (handled bool, err error) {
+	write := func(d *datagram) error { return writeDatagram(conn, addr, d) }
 	switch v.Action {
 	case WireDrop:
 		return true, nil
@@ -59,7 +62,7 @@ func applyWireFault(v WireVerdict, d *datagram, write func(*datagram) error, wri
 			return true, nil
 		}
 		b[0] ^= 0xFF
-		return true, writeRaw(b)
+		return true, writeFrame(conn, addr, b)
 	}
 	if v.Delay > 0 {
 		cp := *d

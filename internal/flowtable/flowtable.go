@@ -30,7 +30,7 @@ import (
 // The exported counter and timestamp fields are snapshots: they are
 // authoritative on entries the caller built (InsertEntry input) and on
 // entries the table hands back out of its own structures (Entries,
-// MatchingEntries, Peek clones, Removed entries). On the live entry
+// Select, Peek clones, Removed entries). On the live entry
 // returned by Lookup they are frozen at insert time — read the moving
 // values through Counters and LastMatchedAt, which Lookup maintains in
 // atomics so concurrent lookups never race.
@@ -420,6 +420,10 @@ func (t *Table) Entries() []*Entry {
 		out = append(out, e.clone())
 	}
 	t.mu.RUnlock()
+	return sortEntries(out)
+}
+
+func sortEntries(out []*Entry) []*Entry {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Priority != out[j].Priority {
 			return out[i].Priority > out[j].Priority
@@ -440,25 +444,27 @@ func (t *Table) InsertEntry(e *Entry) {
 	t.install(c)
 }
 
-// MatchingEntries returns deep copies of entries selected by an
-// OpenFlow stats-request filter (non-strict match plus out-port).
-func (t *Table) MatchingEntries(filter *openflow.Match, outPort uint16) []*Entry {
-	t.mu.RLock()
-	norm := filter.Normalize()
+// Select returns deep copies of the entries the OpenFlow selection
+// predicate picks (see selects; a stats-request filter is the non-strict
+// form), ordered like Entries. Only the hits are cloned and sorted, and
+// a strict selection is one map probe.
+func (t *Table) Select(match *openflow.Match, priority uint16, strict bool, outPort uint16) []*Entry {
+	norm := match.Normalize()
 	var out []*Entry
-	for _, e := range t.entries {
-		if t.selects(e, &norm, 0, false, outPort) {
+	t.mu.RLock()
+	if strict {
+		if e := t.entries[flowKey{norm, priority}]; e != nil && t.selects(e, &norm, priority, true, outPort) {
 			out = append(out, e.clone())
+		}
+	} else {
+		for _, e := range t.entries {
+			if t.selects(e, &norm, priority, false, outPort) {
+				out = append(out, e.clone())
+			}
 		}
 	}
 	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Priority != out[j].Priority {
-			return out[i].Priority > out[j].Priority
-		}
-		return out[i].tieKey < out[j].tieKey
-	})
-	return out
+	return sortEntries(out)
 }
 
 // Fingerprint summarizes the table's rule state (matches, priorities,

@@ -446,31 +446,16 @@ func (m *Manager) computeUndo(shd *netShard, dpid uint64, fm *openflow.FlowMod) 
 	norm := fm.Match.Normalize()
 	op := undoOp{dpid: dpid}
 	switch fm.Command {
-	case openflow.FlowModAdd:
-		if prev := findStrict(sh, norm, fm.Priority); prev != nil {
-			op.restore = append(op.restore, prev)
-		} else {
+	case openflow.FlowModAdd, openflow.FlowModModify, openflow.FlowModModifyStrict:
+		op.restore = sh.Select(&norm, fm.Priority, fm.Command != openflow.FlowModModify, openflow.PortNone)
+		if len(op.restore) == 0 {
+			// Nothing is overwritten (a modify then behaves as an add):
+			// the inverse removes what this FlowMod installs.
 			op.remove = append(op.remove, strictKey{norm, fm.Priority})
-		}
-	case openflow.FlowModModify, openflow.FlowModModifyStrict:
-		strict := fm.Command == openflow.FlowModModifyStrict
-		affected := selectEntries(sh, norm, fm.Priority, strict)
-		if len(affected) == 0 {
-			// Behaves as an add.
-			op.remove = append(op.remove, strictKey{norm, fm.Priority})
-		} else {
-			op.restore = append(op.restore, affected...)
 		}
 	case openflow.FlowModDelete, openflow.FlowModDeleteStrict:
-		strict := fm.Command == openflow.FlowModDeleteStrict
-		victims := selectEntries(sh, norm, fm.Priority, strict)
-		// out_port filtering must mirror the table's semantics.
-		for _, v := range victims {
-			if fm.OutPort != openflow.PortNone && !outputsTo(v, fm.OutPort) {
-				continue
-			}
-			op.restore = append(op.restore, v)
-		}
+		// out_port filtering mirrors the table's semantics.
+		op.restore = sh.Select(&norm, fm.Priority, fm.Command == openflow.FlowModDeleteStrict, fm.OutPort)
 	}
 	return op
 }
@@ -497,38 +482,6 @@ func (m *Manager) noteCounterEviction(sh *netShard, dpid uint64, fm *openflow.Fl
 			}
 		}
 	}
-}
-
-func findStrict(sh *flowtable.Table, norm openflow.Match, prio uint16) *flowtable.Entry {
-	for _, e := range sh.Entries() {
-		if e.Match == norm && e.Priority == prio {
-			return e
-		}
-	}
-	return nil
-}
-
-func selectEntries(sh *flowtable.Table, norm openflow.Match, prio uint16, strict bool) []*flowtable.Entry {
-	var out []*flowtable.Entry
-	for _, e := range sh.Entries() {
-		if strict {
-			if e.Match == norm && e.Priority == prio {
-				out = append(out, e)
-			}
-		} else if norm.Subsumes(&e.Match) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func outputsTo(e *flowtable.Entry, port uint16) bool {
-	for _, a := range e.Actions {
-		if o, ok := a.(*openflow.ActionOutput); ok && o.Port == port {
-			return true
-		}
-	}
-	return false
 }
 
 // Commit finalizes the transaction: barriers flush every touched switch

@@ -2,6 +2,7 @@ package netlog
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -508,5 +509,150 @@ func TestShadowResyncsOnReconnect(t *testing.T) {
 	}
 	if r.sw.Table().Fingerprint() != before {
 		t.Fatal("rollback over resynced shadow left residue")
+	}
+}
+
+// refComputeUndo is computeUndo as it was before flowtable.Select: the
+// three helpers it used, which scanned, cloned and sorted the whole
+// shadow for every FlowMod.
+func refComputeUndo(sh *flowtable.Table, dpid uint64, fm *openflow.FlowMod) undoOp {
+	findStrict := func(norm openflow.Match, prio uint16) *flowtable.Entry {
+		for _, e := range sh.Entries() {
+			if e.Match == norm && e.Priority == prio {
+				return e
+			}
+		}
+		return nil
+	}
+	selectEntries := func(norm openflow.Match, prio uint16, strict bool) []*flowtable.Entry {
+		var out []*flowtable.Entry
+		for _, e := range sh.Entries() {
+			if strict {
+				if e.Match == norm && e.Priority == prio {
+					out = append(out, e)
+				}
+			} else if norm.Subsumes(&e.Match) {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	outputsTo := func(e *flowtable.Entry, port uint16) bool {
+		for _, a := range e.Actions {
+			if o, ok := a.(*openflow.ActionOutput); ok && o.Port == port {
+				return true
+			}
+		}
+		return false
+	}
+	norm := fm.Match.Normalize()
+	op := undoOp{dpid: dpid}
+	switch fm.Command {
+	case openflow.FlowModAdd:
+		if prev := findStrict(norm, fm.Priority); prev != nil {
+			op.restore = append(op.restore, prev)
+		} else {
+			op.remove = append(op.remove, strictKey{norm, fm.Priority})
+		}
+	case openflow.FlowModModify, openflow.FlowModModifyStrict:
+		affected := selectEntries(norm, fm.Priority, fm.Command == openflow.FlowModModifyStrict)
+		if len(affected) == 0 {
+			op.remove = append(op.remove, strictKey{norm, fm.Priority})
+		} else {
+			op.restore = append(op.restore, affected...)
+		}
+	case openflow.FlowModDelete, openflow.FlowModDeleteStrict:
+		for _, v := range selectEntries(norm, fm.Priority, fm.Command == openflow.FlowModDeleteStrict) {
+			if fm.OutPort != openflow.PortNone && !outputsTo(v, fm.OutPort) {
+				continue
+			}
+			op.restore = append(op.restore, v)
+		}
+	}
+	return op
+}
+
+// randomFlowMod draws from a small space of matches, priorities and
+// ports so that adds collide, non-strict selections hit several entries
+// and out_port filters bite.
+func randomFlowMod(rng *rand.Rand) *openflow.FlowMod {
+	m := openflow.MatchAll()
+	if rng.Intn(4) > 0 {
+		m.Wildcards &^= openflow.WildcardInPort
+		m.InPort = uint16(1 + rng.Intn(3))
+	}
+	if rng.Intn(2) == 0 {
+		m.Wildcards &^= openflow.WildcardTpDst
+		m.TpDst = uint16(80 + rng.Intn(3))
+	}
+	fm := &openflow.FlowMod{Match: m, Priority: uint16(10 * (1 + rng.Intn(3))), Cookie: rng.Uint64(),
+		BufferID: openflow.BufferIDNone, OutPort: openflow.PortNone,
+		Actions: []openflow.Action{&openflow.ActionOutput{Port: uint16(1 + rng.Intn(3))}}}
+	switch n := rng.Intn(10); {
+	case n < 5:
+		fm.Command = openflow.FlowModAdd
+	case n < 6:
+		fm.Command = openflow.FlowModModify
+	case n < 7:
+		fm.Command = openflow.FlowModModifyStrict
+	case n < 8:
+		fm.Command = openflow.FlowModDeleteStrict
+	default:
+		fm.Command = openflow.FlowModDelete
+		if rng.Intn(2) == 0 {
+			fm.OutPort = uint16(1 + rng.Intn(3))
+		}
+	}
+	return fm
+}
+
+func TestComputeUndoMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewManager(nil, nil)
+		shd := m.shardOf(1)
+		for i := 0; i < 2000; i++ {
+			fm := randomFlowMod(rng)
+			got, want := m.computeUndo(shd, 1, fm), refComputeUndo(m.shadow(shd, 1), 1, fm)
+			if !reflect.DeepEqual(got.remove, want.remove) || len(got.restore) != len(want.restore) {
+				t.Fatalf("seed %d op %d %v: undo %+v, reference %+v", seed, i, fm.Command, got, want)
+			}
+			for j := range got.restore {
+				g, w := got.restore[j], want.restore[j]
+				if g.Match != w.Match || g.Priority != w.Priority || g.Cookie != w.Cookie || !reflect.DeepEqual(g.Actions, w.Actions) {
+					t.Fatalf("seed %d op %d %v: restore[%d] = %+v, reference %+v", seed, i, fm.Command, j, g, w)
+				}
+			}
+			if _, err := m.shadow(shd, 1).Apply(fm); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// One hooked FlowMod's inversion against a 1 000-rule shadow: a strict
+// selection is a map probe, not a copy and sort of the table.
+func BenchmarkComputeUndo1000(b *testing.B) {
+	m := NewManager(nil, nil)
+	shd := m.shardOf(1)
+	add := func(i int) *openflow.FlowMod {
+		match := openflow.MatchAll()
+		match.Wildcards &^= openflow.WildcardTpDst | openflow.WildcardInPort
+		match.TpDst, match.InPort = uint16(i), uint16(i%7)
+		return &openflow.FlowMod{Match: match, Command: openflow.FlowModAdd, Priority: 10,
+			BufferID: openflow.BufferIDNone, OutPort: openflow.PortNone}
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := m.shadow(shd, 1).Apply(add(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fm := add(500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if op := m.computeUndo(shd, 1, fm); len(op.restore) != 1 {
+			b.Fatal("overwrite not found")
+		}
 	}
 }

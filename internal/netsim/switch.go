@@ -436,7 +436,7 @@ func (s *Switch) handleStatsRequest(m *openflow.StatsRequest) *openflow.StatsRep
 		if req == nil {
 			req = &openflow.FlowStatsRequest{Match: openflow.MatchAll(), OutPort: openflow.PortNone}
 		}
-		for _, e := range s.table.MatchingEntries(&req.Match, req.OutPort) {
+		for _, e := range s.table.Select(&req.Match, 0, false, req.OutPort) {
 			d := now.Sub(e.Installed)
 			reply.Flows = append(reply.Flows, openflow.FlowStatsEntry{
 				TableID:      0,
@@ -458,7 +458,7 @@ func (s *Switch) handleStatsRequest(m *openflow.StatsRequest) *openflow.StatsRep
 			req = &openflow.FlowStatsRequest{Match: openflow.MatchAll(), OutPort: openflow.PortNone}
 		}
 		agg := &openflow.AggregateStats{}
-		for _, e := range s.table.MatchingEntries(&req.Match, req.OutPort) {
+		for _, e := range s.table.Select(&req.Match, 0, false, req.OutPort) {
 			agg.PacketCount += e.PacketCount
 			agg.ByteCount += e.ByteCount
 			agg.FlowCount++
