@@ -12,7 +12,7 @@ import (
 // runHASmoke is the CI failover gate behind `legosdn-bench -ha-smoke`:
 // it runs the ha-kill-leader-mid-txn library scenario — a 3-replica
 // cluster with quorum commit, leader SIGKILLed mid-transaction, a
-// follower wins the lease and rolls the orphan back — and exits zero
+// follower takes over and rolls the orphan back — and exits zero
 // only if every invariant held. Exit codes match the chaos/campaign
 // convention: 0 ok, 1 an invariant failed, 2 setup broke.
 func runHASmoke(seed uint64, autopsyDir string) int {

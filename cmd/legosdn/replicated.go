@@ -19,14 +19,15 @@ import (
 // runReplicated is the -replicas N demo: a replicated control plane
 // over the simulated network. N replicas elect a leader, traffic
 // flows, then the leader is killed with a journaled transaction still
-// open — a follower wins the lease, rolls the orphan back from its
+// open — the followers see its streams end, one takes the next lease
+// epoch, rolls the orphan back from its
 // replicated journal, takes over the switches, and traffic keeps
 // flowing.
 //
 // metricsAddr, when set, serves the cluster's own instruments (elections,
 // failovers, replication lag, quorum waits) at /metrics; each stack
 // incarnation keeps its private registry.
-func runReplicated(replicas int, n *netsim.Network, appNames []string, flows int, stateDir, topo, metricsAddr string) {
+func runReplicated(replicas int, n *netsim.Network, appNames []string, flows, checkpointDelta int, stateDir, topo, metricsAddr string) {
 	if stateDir == "" {
 		dir, err := os.MkdirTemp("", "legosdn-replicas-")
 		if err != nil {
@@ -54,15 +55,16 @@ func runReplicated(replicas int, n *netsim.Network, appNames []string, flows int
 		}()
 	}
 	cluster := replica.New(replica.Options{
-		Dir:            stateDir,
-		Replicas:       replicas,
-		CommitMode:     replica.CommitQuorum,
-		LeaseTTL:       150 * time.Millisecond,
-		HeartbeatEvery: 50 * time.Millisecond,
-		WAL:            durable.Options{GroupCommit: true},
-		Apps:           factories,
-		Metrics:        reg,
-		Logf:           log.Printf,
+		Dir:             stateDir,
+		Replicas:        replicas,
+		CommitMode:      replica.CommitQuorum,
+		LeaseTTL:        150 * time.Millisecond,
+		HeartbeatEvery:  50 * time.Millisecond,
+		CheckpointDelta: checkpointDelta,
+		WAL:             durable.Options{GroupCommit: true},
+		Apps:            factories,
+		Metrics:         reg,
+		Logf:            log.Printf,
 	})
 	if err := cluster.Start(n); err != nil {
 		log.Fatalf("legosdn: cluster start: %v", err)

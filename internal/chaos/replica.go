@@ -23,7 +23,7 @@ const (
 	// close unresolved, replication stops.
 	failoverKill failoverMode = iota
 	// failoverPartition isolates the leader: it keeps running and keeps
-	// its switch connections, but replication and lease renewal stop —
+	// its switch connections, but replication to the followers stops —
 	// the successor must fence it via switch role demotion.
 	failoverPartition
 	// failoverLag is failoverKill with slow followers: each replicated
@@ -49,7 +49,7 @@ func runHAFollowerLag(sc Scenario, seed uint64, reg *metrics.Registry) *Report {
 // runHAFailover is the replicated-control-plane chaos scenario: a
 // 3-replica cluster runs the recorder workload, the leader dies (or is
 // partitioned) with a journaled transaction neither committed nor
-// aborted, and a follower must win the lease, finish recovery from its
+// aborted, and a follower must take over, finish recovery from its
 // replicated journal, and resume dispatch — with every single-stack
 // invariant still holding on the other side of the failover.
 //
@@ -183,12 +183,20 @@ func runHAFailover(sc Scenario, seed uint64, mode failoverMode) *Report {
 	rep.Fired["ha/recovered-txns"] = int(cluster.State().RecoveredTxns())
 	rep.Fired["ha/recovered-mods"] = int(cluster.State().RecoveredMods())
 
+	var fenceErr error
 	if mode == failoverPartition {
 		// The fenced ex-leader still runs and still believes it leads:
-		// its writes must bounce off the switches' slave-role check.
-		if old := cluster.OldLeaderStack(); old != nil {
+		// its write must bounce off the switch's slave-role check, and the
+		// switch must count the bounce.
+		if old := cluster.OldLeaderStack(); old == nil {
+			fenceErr = fmt.Errorf("the isolated leader's stack was not retained")
+		} else {
+			before := n.Switch(1).FencedWrites.Load()
 			_ = old.Controller.SendFlowMod(1, pendingRule(7))
 			_ = old.Controller.Barrier(1)
+			if got := n.Switch(1).FencedWrites.Load() - before; got != 1 {
+				fenceErr = fmt.Errorf("the ex-leader sent 1 write after the takeover; the switch fenced %d", got)
+			}
 		}
 	}
 
@@ -228,6 +236,9 @@ func runHAFailover(sc Scenario, seed uint64, mode failoverMode) *Report {
 		}
 	}
 	add("rollback-complete", residueErr)
+	if mode == failoverPartition {
+		add("writes-fenced", fenceErr)
+	}
 
 	var shadowErr error
 	if got, want := stackB.NetLog.ShadowFingerprint(1), n.Switch(1).Table().Fingerprint(); got != want {

@@ -69,7 +69,7 @@ func Library() []Scenario {
 		},
 		{
 			Name:        "ha-kill-leader-mid-txn",
-			Description: "replicated control plane: leader SIGKILLed mid-transaction; a follower wins the lease and rolls it back",
+			Description: "replicated control plane: leader SIGKILLed mid-transaction; the followers see its streams end; one takes the next epoch and rolls it back",
 			Events:      16,
 			Custom:      runHAKillLeader,
 		},

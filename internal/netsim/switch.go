@@ -56,6 +56,9 @@ type Switch struct {
 	LoopDrops      atomic.Uint64
 	TableMissDrops atomic.Uint64
 	Delivered      atomic.Uint64
+	// FencedWrites counts state-changing messages bounced with EPERM
+	// because their connection was not the master's.
+	FencedWrites atomic.Uint64
 }
 
 func newSwitch(n *Network, dpid uint64, clock Clock) *Switch {
@@ -255,6 +258,7 @@ func (s *Switch) pump(conn *openflow.Conn) {
 			// PromoteSlave) cannot mutate the dataplane. This is what
 			// keeps a partitioned old leader from issuing writes after
 			// a new leader took over.
+			s.FencedWrites.Add(1)
 			replies = []openflow.Message{&openflow.ErrorMsg{
 				BaseMsg: openflow.BaseMsg{Xid: msg.GetXid()},
 				ErrType: openflow.ErrTypeBadRequest,

@@ -26,12 +26,14 @@ import (
 // 3-replica deployment tolerates. Apply is idempotent: positions at or
 // below the last applied one are counted as duplicates and skipped, so
 // duplicate segment delivery (a shipper retry after partial failover)
-// is harmless.
+// is harmless. A stream that ends other than by Close is the follower's
+// sign of a lost leader: Ended turns true and onEnd runs once.
 type Applier struct {
 	dir  string
 	opts durable.Options
 
-	conn net.Conn
+	conn  net.Conn
+	onEnd func()
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -41,6 +43,7 @@ type Applier struct {
 	last    map[byte]uint64 // last applied position per stream
 	recvd   map[byte]uint64 // highest received position per stream
 	closed  bool
+	ended   bool
 	failure error
 
 	dups   metrics.Counter
@@ -52,12 +55,14 @@ type Applier struct {
 
 // NewApplier opens (or creates) the shadow WALs under dir and starts
 // the receive and apply loops on conn. applyDelay > 0 delays each
-// applied frame — the follower-lag test hook.
-func NewApplier(dir string, conn net.Conn, opts durable.Options, applyDelay time.Duration) (*Applier, error) {
+// applied frame — the follower-lag test hook. onEnd (may be nil) runs
+// when the stream ends without Close.
+func NewApplier(dir string, conn net.Conn, opts durable.Options, applyDelay time.Duration, onEnd func()) (*Applier, error) {
 	a := &Applier{
 		dir:        dir,
 		opts:       opts,
 		conn:       conn,
+		onEnd:      onEnd,
 		wals:       make(map[byte]*durable.WAL),
 		last:       make(map[byte]uint64),
 		recvd:      make(map[byte]uint64),
@@ -90,12 +95,10 @@ func (a *Applier) streamDir(id byte) string {
 // recvLoop reads frames, enqueues them for apply, and acks immediately.
 func (a *Applier) recvLoop() {
 	defer a.wg.Done()
+	defer a.streamEnded()
 	for {
 		f, err := readFrame(a.conn)
 		if err != nil {
-			a.mu.Lock()
-			a.cond.Broadcast()
-			a.mu.Unlock()
 			return
 		}
 		a.mu.Lock()
@@ -110,6 +113,18 @@ func (a *Applier) recvLoop() {
 		if err := writeFrame(a.conn, frame{Kind: frameAck, Stream: f.Stream, Pos: f.Pos}); err != nil {
 			return
 		}
+	}
+}
+
+// streamEnded runs when recvLoop stops: unless Close stopped the
+// stream, it marks the stream ended and reports it.
+func (a *Applier) streamEnded() {
+	a.mu.Lock()
+	ended := !a.closed
+	a.ended = ended
+	a.mu.Unlock()
+	if ended && a.onEnd != nil {
+		a.onEnd()
 	}
 }
 
@@ -255,6 +270,13 @@ func (a *Applier) ReceivedPos(stream byte) uint64 {
 	return a.recvd[stream]
 }
 
+// Ended reports whether the stream from the leader ended without Close.
+func (a *Applier) Ended() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.ended
+}
+
 // AppliedPos reports the highest position applied on a stream.
 func (a *Applier) AppliedPos(stream byte) uint64 {
 	a.mu.Lock()
@@ -272,11 +294,11 @@ func (a *Applier) Resets() uint64 { return a.resets.Load() }
 // directory ready for durable.OpenState (promotion) or a later
 // NewApplier (rejoining as a follower of a new leader).
 func (a *Applier) Close() error {
-	a.conn.Close()
 	a.mu.Lock()
 	a.closed = true
 	a.cond.Broadcast()
 	a.mu.Unlock()
+	a.conn.Close()
 	a.wg.Wait()
 	return a.closeWALs()
 }

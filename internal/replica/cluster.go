@@ -52,8 +52,8 @@ type Options struct {
 	Apps []func() controller.App
 	// CommitMode picks async or wait-for-quorum journal commits.
 	CommitMode CommitMode
-	// LeaseTTL is the leadership lease duration (default 150ms); a dead
-	// leader is replaceable one TTL after its last renewal.
+	// LeaseTTL is the leadership lease duration (default 150ms), renewed
+	// for an unsuspected leader; a takeover never waits for it to lapse.
 	LeaseTTL time.Duration
 	// HeartbeatEvery is the renewal/monitor cadence (default LeaseTTL/3).
 	HeartbeatEvery time.Duration
@@ -61,8 +61,9 @@ type Options struct {
 	// journal error (absorbed by NetLog's JournalErrors counter —
 	// availability over durability, matching journalAppend's contract).
 	QuorumTimeout time.Duration
-	// CheckpointEvery / EventTimeout pass through to core.Config.
+	// CheckpointEvery, CheckpointDelta, EventTimeout pass to core.Config.
 	CheckpointEvery int
+	CheckpointDelta int
 	EventTimeout    time.Duration
 	// WAL tunes the durable logs on every node (NoSync speeds tests).
 	WAL durable.Options
@@ -113,11 +114,12 @@ type pipePair struct {
 	sw   *openflow.Conn
 }
 
-// node is one replica's bookkeeping.
+// node is one replica's bookkeeping. alive, applier and shipper change
+// under Cluster.mu.
 type node struct {
 	name  string
 	dir   string
-	alive bool
+	alive bool // a member: false once deposed or its promotion failed
 	// pipes holds this node's standby switch connections while it is a
 	// follower (consumed on promotion).
 	pipes map[uint64]pipePair
@@ -138,16 +140,15 @@ type Cluster struct {
 	mu          sync.Mutex
 	nodes       []*node
 	leader      *node
+	epoch       uint64 // the leader's lease epoch; only its log's acks count
 	stack       *core.Stack
 	state       *durable.State
-	leaderAlive bool
 	masterConns []*openflow.Conn // leader's switch conns (closed on kill)
 	acked       map[string]uint64
 	ackWake     chan struct{} // non-nil while a quorum wait sleeps; closed by the next ack or Close
 	failTL      *flightrec.Timeline
-	electing    bool
 	lastMTTR    time.Duration
-	oldStack    *core.Stack    // fenced, still-running leader after IsolateLeader
+	oldStack    *core.Stack    // fenced, still-running deposed leader
 	oldState    *durable.State // its durable state (closed on Close)
 	closed      bool
 
@@ -157,6 +158,7 @@ type Cluster struct {
 	quorumWaitSec  *metrics.Histogram
 	failoverSec    *metrics.Histogram
 
+	wake        chan struct{} // a replication stream ended: the monitor looks now
 	stopMonitor chan struct{}
 	monitorWG   sync.WaitGroup
 }
@@ -168,6 +170,7 @@ func New(opts Options) *Cluster {
 		opts:        o,
 		lease:       NewLeaseStore(o.Clock),
 		acked:       make(map[string]uint64),
+		wake:        make(chan struct{}, 1),
 		stopMonitor: make(chan struct{}),
 	}
 	reg := o.Metrics
@@ -210,6 +213,11 @@ func (c *Cluster) logf(format string, args ...any) {
 // the leader as master and every follower as a slave on each switch,
 // starts WAL shipping, and launches the failure monitor.
 func (c *Cluster) Start(n *netsim.Network) error {
+	lease, ok := c.lease.TryAcquire("node0", c.opts.LeaseTTL)
+	if !ok {
+		return fmt.Errorf("replica: initial lease acquisition failed")
+	}
+	c.elections.Inc()
 	c.mu.Lock()
 	c.net = n
 	for i := 0; i < c.opts.Replicas; i++ {
@@ -222,12 +230,8 @@ func (c *Cluster) Start(n *netsim.Network) error {
 		})
 	}
 	leader := c.nodes[0]
+	c.leader, c.epoch = leader, lease.Epoch
 	c.mu.Unlock()
-
-	if _, ok := c.lease.TryAcquire(leader.name, c.opts.LeaseTTL); !ok {
-		return fmt.Errorf("replica: initial lease acquisition failed")
-	}
-	c.elections.Inc()
 
 	// Followers park a slave connection on every switch now, so a later
 	// promotion only flips roles — no re-dialing during failover. The
@@ -247,12 +251,12 @@ func (c *Cluster) Start(n *netsim.Network) error {
 	if err != nil {
 		return fmt.Errorf("replica: opening leader state: %w", err)
 	}
-	if err := c.startReplication(leader, st); err != nil {
+	if err := c.startReplication(leader, st, lease.Epoch); err != nil {
 		st.Close()
 		return err
 	}
 
-	stack, err := c.buildStack(st)
+	stack, err := c.buildStack(st, lease.Epoch)
 	if err != nil {
 		return err
 	}
@@ -269,11 +273,7 @@ func (c *Cluster) Start(n *netsim.Network) error {
 	}
 
 	c.mu.Lock()
-	c.leader = leader
-	c.stack = stack
-	c.state = st
-	c.masterConns = conns
-	c.leaderAlive = true
+	c.stack, c.state, c.masterConns = stack, st, conns
 	c.mu.Unlock()
 
 	c.monitorWG.Add(1)
@@ -297,41 +297,63 @@ func (c *Cluster) followersOf(lead *node) []*node {
 }
 
 // startReplication wires a shipper→applier pair from the given leader
-// state to every live follower, resetting the ack table.
-func (c *Cluster) startReplication(lead *node, st *durable.State) error {
+// state to every live follower, replacing whatever sessions they had
+// (Close ends a stream unreported: no suspicion), and resets the ack
+// table for the leader's epoch.
+func (c *Cluster) startReplication(lead *node, st *durable.State, epoch uint64) error {
 	c.mu.Lock()
 	c.acked = make(map[string]uint64)
 	c.mu.Unlock()
+	c.stopShippers()
 	for _, f := range c.followersOf(lead) {
-		if f.applier != nil { // stale session to a previous leader
+		if f.applier != nil { // a session with an earlier leader
 			f.applier.Close()
-			f.applier = nil
 		}
 		shipConn, applyConn := net.Pipe()
-		a, err := NewApplier(f.dir, applyConn, c.opts.WAL, c.opts.ApplierDelay)
+		a, err := NewApplier(f.dir, applyConn, c.opts.WAL, c.opts.ApplierDelay, c.streamEnded)
 		if err != nil {
 			shipConn.Close()
 			return fmt.Errorf("replica: starting applier on %s: %w", f.name, err)
 		}
-		f.applier = a
 		name := f.name
-		f.shipper = NewShipper(shipConn, st.Journal.WAL(), st.Checkpoints.WAL(),
+		sh := NewShipper(shipConn, st.Journal.WAL(), st.Checkpoints.WAL(),
 			func(stream byte, pos uint64) {
 				if stream == streamNetlog {
-					c.noteAck(name, pos)
+					c.noteAck(epoch, name, pos)
 				}
 			})
-		f.shipper.Run()
+		c.mu.Lock()
+		f.applier, f.shipper = a, sh
+		c.mu.Unlock()
+		sh.Run()
 	}
 	return nil
 }
 
-// noteAck records that follower name holds the journal through pos and
-// wakes whoever sleeps in waitQuorum.
-func (c *Cluster) noteAck(name string, pos uint64) {
+// stopShippers stops the leader's shippers, ending every follower's
+// stream.
+func (c *Cluster) stopShippers() {
+	c.mu.Lock()
+	var shippers []*Shipper
+	for _, nd := range c.nodes {
+		if nd.shipper != nil {
+			shippers = append(shippers, nd.shipper)
+			nd.shipper = nil
+		}
+	}
+	c.mu.Unlock()
+	for _, s := range shippers {
+		s.Stop()
+		s.Close()
+	}
+}
+
+// noteAck records that follower name holds epoch's journal through pos
+// and wakes whoever sleeps in waitQuorum; a deposed epoch's are dropped.
+func (c *Cluster) noteAck(epoch uint64, name string, pos uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if pos > c.acked[name] {
+	if epoch == c.epoch && pos > c.acked[name] {
 		c.acked[name] = pos
 		if c.ackWake != nil {
 			close(c.ackWake)
@@ -340,13 +362,24 @@ func (c *Cluster) noteAck(name string, pos uint64) {
 	}
 }
 
-// buildStack assembles a core.Stack over st. Every incarnation gets a
-// private metrics registry (strict duplicate gate) and heartbeat crash
-// detection off — the cluster monitor owns liveness here.
-func (c *Cluster) buildStack(st *durable.State) (*core.Stack, error) {
+// streamEnded is every applier's report that its leader's stream ended:
+// the monitor recounts now rather than on its next tick.
+func (c *Cluster) streamEnded() {
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+}
+
+// buildStack assembles a core.Stack over st for the leader of epoch.
+// Every incarnation gets a private metrics registry (strict duplicate
+// gate) and heartbeat crash detection off — the cluster monitor owns
+// liveness here.
+func (c *Cluster) buildStack(st *durable.State, epoch uint64) (*core.Stack, error) {
 	cfg := core.Config{
 		Mode:             core.ModeLegoSDN,
 		CheckpointEvery:  c.opts.CheckpointEvery,
+		CheckpointDelta:  c.opts.CheckpointDelta,
 		EventTimeout:     c.opts.EventTimeout,
 		HeartbeatTimeout: -1,
 		Durable:          st,
@@ -354,7 +387,7 @@ func (c *Cluster) buildStack(st *durable.State) (*core.Stack, error) {
 		Logf:             c.opts.Logf,
 	}
 	if c.opts.CommitMode == CommitQuorum {
-		cfg.Journal = &quorumJournal{NetLogJournal: st.Journal, c: c}
+		cfg.Journal = &quorumJournal{NetLogJournal: st.Journal, c: c, epoch: epoch}
 	}
 	stack := core.NewStack(cfg)
 	for _, app := range c.opts.Apps {
@@ -366,8 +399,26 @@ func (c *Cluster) buildStack(st *durable.State) (*core.Stack, error) {
 	return stack, nil
 }
 
-// monitor renews the leader's lease while it lives and runs elections
-// when it does not.
+// suspectedLocked reports whether the leader must be replaced: too few
+// live followers still receive its stream for it to commit, whether it
+// died or was cut off, or its own promotion failed.
+func (c *Cluster) suspectedLocked() bool {
+	if !c.leader.alive {
+		return true
+	}
+	receiving := 0
+	for _, nd := range c.nodes {
+		if nd.alive && nd != c.leader && nd.applier != nil && !nd.applier.Ended() {
+			receiving++
+		}
+	}
+	return receiving < c.opts.Replicas/2 // the follower acks a quorum write needs
+}
+
+// monitor renews the lease of a leader nobody suspects and replaces a
+// suspected one: the best-replicated follower takes epoch+1 by
+// compare-and-swap and is promoted. It looks every HeartbeatEvery, and
+// at once when a stream ends.
 func (c *Cluster) monitor() {
 	defer c.monitorWG.Done()
 	t := time.NewTicker(c.opts.HeartbeatEvery)
@@ -377,59 +428,56 @@ func (c *Cluster) monitor() {
 		case <-c.stopMonitor:
 			return
 		case <-t.C:
+		case <-c.wake:
 		}
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
 			return
 		}
-		if c.leaderAlive && c.leader != nil {
-			name := c.leader.name
+		lead, epoch := c.leader, c.epoch
+		if !c.suspectedLocked() {
 			c.mu.Unlock()
-			c.lease.TryAcquire(name, c.opts.LeaseTTL)
+			c.lease.TryAcquire(lead.name, c.opts.LeaseTTL)
 			continue
+		}
+		cand := c.bestCandidateLocked()
+		if cand == nil {
+			c.mu.Unlock()
+			continue
+		}
+		if c.failTL == nil { // no fault was injected: detection starts the clock
+			c.failTL = flightrec.NewTimeline(nil)
 		}
 		tl := c.failTL
-		entered := c.electing
 		c.mu.Unlock()
 
-		cand := c.bestCandidate()
-		if cand == nil {
-			continue
-		}
-		if !entered {
-			tl.Enter(flightrec.PhaseElection)
-			c.mu.Lock()
-			c.electing = true
-			c.mu.Unlock()
-		}
-		// The dead leader's lease must expire before this succeeds; the
-		// wait is the detection cost the election phase accounts for.
-		if _, ok := c.lease.TryAcquire(cand.name, c.opts.LeaseTTL); !ok {
+		tl.Enter(flightrec.PhaseElection)
+		lease, ok := c.lease.TakeOver(cand.name, c.opts.LeaseTTL, epoch)
+		if !ok {
 			continue
 		}
 		c.elections.Inc()
-		c.logf("replica: %s won election (epoch %d), promoting",
-			cand.name, c.lease.Current().Epoch)
-		if err := c.promote(cand, tl); err != nil {
+		c.mu.Lock()
+		lead.alive = false
+		c.leader, c.epoch = cand, lease.Epoch
+		prevStack, prevState := c.retireLocked() // if it still serves: fenced, kept until Close
+		c.mu.Unlock()
+		closeStack(prevStack, prevState)
+		c.logf("replica: %s took over epoch %d from %s, promoting", cand.name, lease.Epoch, lead.name)
+		if err := c.promote(cand, lease.Epoch, tl); err != nil {
 			c.logf("replica: promotion of %s failed: %v", cand.name, err)
-			c.lease.Release(cand.name)
 			c.mu.Lock()
 			cand.alive = false
 			c.mu.Unlock()
 		}
-		c.mu.Lock()
-		c.electing = false
-		c.mu.Unlock()
 	}
 }
 
-// bestCandidate picks the live follower with the highest received
+// bestCandidateLocked picks the live follower with the highest received
 // NetLog position (ties break toward the lowest name) — the replica
 // whose shadow journal is most complete.
-func (c *Cluster) bestCandidate() *node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Cluster) bestCandidateLocked() *node {
 	var best *node
 	var bestPos uint64
 	for _, nd := range c.nodes {
@@ -444,21 +492,20 @@ func (c *Cluster) bestCandidate() *node {
 	return best
 }
 
-// promote turns cand into the leader: drain its replication backlog,
-// open its shadow state as the live durable state, restart shipping to
-// the remaining followers, flip its switch connections to master, and
-// run the stack's durable recovery (presumed-abort inverse replay)
-// before resuming dispatch.
-func (c *Cluster) promote(cand *node, tl *flightrec.Timeline) error {
+// promote turns cand, the holder of epoch, into the serving leader:
+// drain its replication backlog, open its shadow state as the live
+// durable state, restart shipping to the remaining followers, flip its
+// switch connections to master, and run the stack's durable recovery
+// (presumed-abort inverse replay) before resuming dispatch.
+func (c *Cluster) promote(cand *node, epoch uint64, tl *flightrec.Timeline) error {
 	tl.Enter(flightrec.PhaseCatchUp)
 	var backlog int
-	if cand.applier != nil {
-		backlog = cand.applier.Backlog()
-		if err := cand.applier.Drain(10 * time.Second); err != nil {
+	if a := cand.applier; a != nil {
+		backlog = a.Backlog()
+		if err := a.Drain(10 * time.Second); err != nil {
 			c.logf("replica: catch-up on %s: %v", cand.name, err)
 		}
-		cand.applier.Close()
-		cand.applier = nil
+		a.Close()
 	}
 
 	tl.Enter(flightrec.PhaseRestore)
@@ -472,14 +519,11 @@ func (c *Cluster) promote(cand *node, tl *flightrec.Timeline) error {
 	// follower acks. A fresh WAL handle restarts at generation 0, so
 	// the shippers open with a reset and re-ship the whole (compacted)
 	// log; the appliers wipe and rebuild — idempotent by design.
-	if err := c.startReplication(cand, st); err != nil {
+	if err := c.startReplication(cand, st, epoch); err != nil {
 		st.Close()
 		return err
 	}
-	c.mu.Lock()
-	c.leader = cand // quorum waits must not count cand as a follower
-	c.mu.Unlock()
-	stack, err := c.buildStack(st)
+	stack, err := c.buildStack(st, epoch)
 	if err != nil {
 		st.Close()
 		return err
@@ -510,28 +554,25 @@ func (c *Cluster) promote(cand *node, tl *flightrec.Timeline) error {
 	}
 
 	tl.Enter(flightrec.PhaseResume)
-	c.mu.Lock()
-	c.stack = stack
-	c.state = st
-	c.masterConns = conns
-	c.leaderAlive = true
-	c.mu.Unlock()
-	c.failovers.Inc()
 	tl.Finish()
 	mttr := tl.Total()
-	c.failoverSec.Observe(mttr.Seconds())
 	c.mu.Lock()
+	c.stack, c.state, c.masterConns = stack, st, conns
+	cand.applier = nil
+	c.failTL = nil
 	c.lastMTTR = mttr
 	c.mu.Unlock()
+	c.failovers.Inc()
+	c.failoverSec.Observe(mttr.Seconds())
 
 	stack.Autopsies.Add(&flightrec.Autopsy{
 		App:     "controller",
 		Trigger: "failover",
 		Class:   "leader-death",
-		Culprit: "leadership lease expired",
+		Culprit: "leader's replication streams ended",
 		Outcome: "Recovered",
 		Notes: []string{
-			fmt.Sprintf("%s promoted (epoch %d)", cand.name, c.lease.Current().Epoch),
+			fmt.Sprintf("%s promoted (epoch %d)", cand.name, epoch),
 			fmt.Sprintf("catch-up drained %d queued frame(s)", backlog),
 			fmt.Sprintf("journal held %d orphaned txn(s)", orphans),
 		},
@@ -543,99 +584,66 @@ func (c *Cluster) promote(cand *node, tl *flightrec.Timeline) error {
 	return nil
 }
 
-// KillLeader crash-stops the current leader: its switch connections
-// drop, replication to followers stops, and its WALs close without
-// resolving open transactions — the SIGKILL the chaos scenarios model.
-// The monitor detects the silence and elects a successor.
-func (c *Cluster) KillLeader() error {
+// KillLeader crash-stops the serving leader — the SIGKILL the chaos
+// scenarios model: replication stops, its switch connections drop, and
+// its stack and WALs close without resolving open transactions.
+func (c *Cluster) KillLeader() error { return c.cutLeader("killed", false) }
+
+// IsolateLeader partitions the serving leader: replication stops, but
+// its stack runs on with its switch connections until the successor's
+// PromoteSlave demotes them and its state-changing messages bounce with
+// EPERM (fencing). OldLeaderStack returns the fenced stack.
+func (c *Cluster) IsolateLeader() error { return c.cutLeader("partitioned away", true) }
+
+// cutLeader injects a leader fault, which starts the failover timeline:
+// it stops the shippers, ending every follower's stream, and takes the
+// stack out of service, kept running if keep and closed if not.
+func (c *Cluster) cutLeader(what string, keep bool) error {
 	c.mu.Lock()
-	if !c.leaderAlive || c.leader == nil {
+	if c.stack == nil {
 		c.mu.Unlock()
-		return fmt.Errorf("replica: no live leader to kill")
+		return fmt.Errorf("replica: no serving leader to cut off")
 	}
-	dead := c.leader
-	stack, st := c.stack, c.state
-	conns := c.masterConns
-	followers := c.followersSnapshotLocked(dead)
+	name := c.leader.name
+	stack, st, conns := c.stack, c.state, c.masterConns
+	if keep { // it runs on; an earlier retiree is closed instead
+		stack, st = c.retireLocked()
+		conns = nil
+	}
+	c.stack, c.state, c.masterConns = nil, nil, nil
+	c.failTL = flightrec.NewTimeline(nil)
 	c.mu.Unlock()
 
-	// Tear the leader down while leaderAlive is still true: the monitor
-	// cannot start a promotion (which rewires follower sessions) until
-	// the flag flips below, so these node mutations are race-free.
-	for _, f := range followers {
-		if f.shipper != nil {
-			f.shipper.Stop()
-			f.shipper.Close()
-			f.shipper = nil
-		}
-	}
+	c.stopShippers()
 	for _, conn := range conns {
 		conn.Close()
 	}
+	closeStack(stack, st) // closing a WAL writes nothing: open txns stay orphaned
+	c.logf("replica: %s %s", name, what)
+	return nil
+}
+
+// retireLocked takes the serving stack, if any, out of service without
+// stopping it: a deposed leader runs on, fenced by the switches, until
+// Close. What an earlier retirement kept is returned for the caller to
+// close outside c.mu.
+func (c *Cluster) retireLocked() (*core.Stack, *durable.State) {
+	if c.stack == nil {
+		return nil, nil
+	}
+	prevStack, prevState := c.oldStack, c.oldState
+	c.oldStack, c.oldState = c.stack, c.state
+	c.stack, c.state, c.masterConns = nil, nil, nil
+	return prevStack, prevState
+}
+
+func closeStack(stack *core.Stack, st *durable.State) {
 	if stack != nil {
 		stack.Close()
 	}
 	if st != nil {
-		st.Close() // closing the WAL writes nothing: open txns stay orphaned
+		st.Close()
 	}
-
-	c.mu.Lock()
-	dead.alive = false
-	c.leaderAlive = false
-	c.stack, c.state, c.masterConns = nil, nil, nil
-	c.failTL = flightrec.NewTimeline(nil) // detect phase starts now
-	c.mu.Unlock()
-	c.logf("replica: %s killed", dead.name)
-	return nil
-}
-
-// IsolateLeader partitions the current leader instead of killing it:
-// replication stops and the cluster stops renewing its lease, but its
-// stack keeps running with its switch connections — until the elected
-// successor's PromoteSlave demotes it to slave on every switch, after
-// which its state-changing messages bounce with EPERM (fencing). The
-// fenced stack is retained for inspection via OldLeaderStack.
-func (c *Cluster) IsolateLeader() error {
-	c.mu.Lock()
-	if !c.leaderAlive || c.leader == nil {
-		c.mu.Unlock()
-		return fmt.Errorf("replica: no live leader to isolate")
-	}
-	old := c.leader
-	followers := c.followersSnapshotLocked(old)
-	c.mu.Unlock()
-
-	// Cut replication first (same race-free window as KillLeader): the
-	// monitor cannot promote until leaderAlive flips below.
-	for _, f := range followers {
-		if f.shipper != nil {
-			f.shipper.Stop()
-			f.shipper.Close()
-			f.shipper = nil
-		}
-	}
-
-	c.mu.Lock()
-	old.alive = false
-	c.leaderAlive = false
-	c.failTL = flightrec.NewTimeline(nil)
-	c.oldStack, c.oldState = c.stack, c.state
-	c.stack, c.state, c.masterConns = nil, nil, nil
-	c.mu.Unlock()
-	c.logf("replica: %s partitioned away", old.name)
-	return nil
-}
-
-// followersSnapshotLocked is followersOf for callers already holding
-// c.mu (the dead/isolated node is excluded via its alive flag).
-func (c *Cluster) followersSnapshotLocked(lead *node) []*node {
-	var out []*node
-	for _, nd := range c.nodes {
-		if nd != lead {
-			out = append(out, nd)
-		}
-	}
-	return out
 }
 
 // WaitLeader blocks until a leader other than old serves, returning
@@ -644,7 +652,7 @@ func (c *Cluster) WaitLeader(old string, timeout time.Duration) (*core.Stack, er
 	deadline := time.Now().Add(timeout)
 	for {
 		c.mu.Lock()
-		if c.leaderAlive && c.leader != nil && c.leader.name != old && c.stack != nil {
+		if c.leader != nil && c.leader.name != old && c.stack != nil {
 			s := c.stack
 			c.mu.Unlock()
 			return s, nil
@@ -689,24 +697,21 @@ func (c *Cluster) LeaderName() string {
 	return c.leader.name
 }
 
-// Lease exposes the election substrate (tests, demos).
-func (c *Cluster) Lease() *LeaseStore { return c.lease }
-
 // Elections counts leadership acquisitions (initial election included).
 func (c *Cluster) Elections() uint64 { return c.elections.Load() }
 
 // Failovers counts completed promotions.
 func (c *Cluster) Failovers() uint64 { return c.failovers.Load() }
 
-// LastMTTR reports the most recent failover's detect-to-resume time.
+// LastMTTR reports the most recent failover's fault-to-resume time.
 func (c *Cluster) LastMTTR() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lastMTTR
 }
 
-// QuorumTimeouts counts journal writes that degraded to async after the
-// quorum wait expired.
+// QuorumTimeouts counts the serving leader's journal writes that gave up
+// waiting for follower acks; a deposed leader's never count.
 func (c *Cluster) QuorumTimeouts() uint64 { return c.quorumTimeouts.Load() }
 
 // ReplicationLag reports leader journal records not yet acked by the
@@ -731,12 +736,12 @@ func (c *Cluster) ReplicationLag() uint64 {
 	return lag
 }
 
-// waitQuorum blocks until a majority of replicas hold the journal
-// prefix through pos (the leader's own WAL write already counts as one
-// vote), QuorumTimeout passes, or the cluster closes. It sleeps on the
-// ack callback's wake-up, not on a poll interval.
-func (c *Cluster) waitQuorum(pos uint64) error {
-	need := c.opts.Replicas/2 + 1 - 1 // follower acks beyond the leader
+// waitQuorum blocks until a majority of replicas hold epoch's journal
+// prefix through pos, QuorumTimeout passes, or the cluster closes. It
+// sleeps on the ack callback's wake-up, not on a poll interval. No ack
+// counts once epoch is deposed: its wait can only fail.
+func (c *Cluster) waitQuorum(epoch, pos uint64) error {
+	need := c.opts.Replicas / 2 // follower acks beyond the leader's own vote
 	if need <= 0 {
 		return nil
 	}
@@ -746,7 +751,7 @@ func (c *Cluster) waitQuorum(pos uint64) error {
 		c.mu.Lock()
 		got := 0
 		for _, nd := range c.nodes {
-			if nd.alive && nd != c.leader && c.acked[nd.name] >= pos {
+			if epoch == c.epoch && nd.alive && nd != c.leader && c.acked[nd.name] >= pos {
 				got++
 			}
 		}
@@ -774,9 +779,13 @@ func (c *Cluster) waitQuorum(pos uint64) error {
 		select {
 		case <-wake:
 		case <-timeout.C:
-			c.quorumTimeouts.Inc()
-			return fmt.Errorf("replica: quorum wait for journal pos %d timed out (%d/%d follower acks)",
-				pos, got, need)
+			c.mu.Lock()
+			if epoch == c.epoch {
+				c.quorumTimeouts.Inc()
+			}
+			c.mu.Unlock()
+			return fmt.Errorf("replica: quorum wait for epoch %d journal pos %d timed out (%d/%d follower acks)",
+				epoch, pos, got, need)
 		}
 	}
 }
@@ -792,19 +801,20 @@ func (c *Cluster) waitQuorum(pos uint64) error {
 // counter — a quorum loss degrades durability, never availability.
 type quorumJournal struct {
 	*durable.NetLogJournal
-	c *Cluster
+	c     *Cluster
+	epoch uint64 // the lease epoch of the leader this journal serves
 }
 
 func (q *quorumJournal) TxnOp(id uint64, op netlog.JournalOp) error {
 	if err := q.NetLogJournal.TxnOp(id, op); err != nil {
 		return err
 	}
-	return q.c.waitQuorum(q.WAL().EndPos())
+	return q.c.waitQuorum(q.epoch, q.WAL().EndPos())
 }
 
-// Close stops the monitor, the replication sessions and whatever stack
-// is serving (the fenced ex-leader included). A quorum wait in progress
-// ends at once instead of sleeping out QuorumTimeout.
+// Close stops the monitor (after a promotion in flight), the replication
+// sessions and every stack, a fenced ex-leader's included. A quorum wait
+// in progress ends at once instead of sleeping out QuorumTimeout.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -816,35 +826,20 @@ func (c *Cluster) Close() {
 		close(c.ackWake)
 		c.ackWake = nil
 	}
-	stack, st := c.stack, c.state
-	oldStack, oldState := c.oldStack, c.oldState
-	c.stack, c.state, c.oldStack, c.oldState = nil, nil, nil, nil
-	nodes := append([]*node(nil), c.nodes...)
 	c.mu.Unlock()
 
 	close(c.stopMonitor)
 	c.monitorWG.Wait()
-	for _, nd := range nodes {
-		if nd.shipper != nil {
-			nd.shipper.Stop()
-			nd.shipper.Close()
-			nd.shipper = nil
-		}
+	c.mu.Lock()
+	stack, st, oldStack, oldState := c.stack, c.state, c.oldStack, c.oldState
+	c.stack, c.state, c.oldStack, c.oldState = nil, nil, nil, nil
+	c.mu.Unlock()
+	c.stopShippers()
+	for _, nd := range c.nodes {
 		if nd.applier != nil {
 			nd.applier.Close()
-			nd.applier = nil
 		}
 	}
-	if stack != nil {
-		stack.Close()
-	}
-	if st != nil {
-		st.Close()
-	}
-	if oldStack != nil {
-		oldStack.Close()
-	}
-	if oldState != nil {
-		oldState.Close()
-	}
+	closeStack(stack, st)
+	closeStack(oldStack, oldState)
 }

@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -35,6 +37,29 @@ func (a *testApp) HandleEvent(ctx controller.Context, ev controller.Event) error
 	})
 }
 
+// countingApp is a testApp with state to checkpoint: the events seen.
+type countingApp struct {
+	testApp
+	seen uint64
+}
+
+func (a *countingApp) HandleEvent(ctx controller.Context, ev controller.Event) error {
+	a.seen++
+	return a.testApp.HandleEvent(ctx, ev)
+}
+
+func (a *countingApp) Snapshot() ([]byte, error) {
+	return binary.BigEndian.AppendUint64(nil, a.seen), nil
+}
+
+func (a *countingApp) Restore(b []byte) error {
+	if len(b) != 8 {
+		return fmt.Errorf("countingApp image is %d bytes, want 8", len(b))
+	}
+	a.seen = binary.BigEndian.Uint64(b)
+	return nil
+}
+
 // orphanRule is the mid-transaction rule the failover must roll back.
 func orphanRule(i int) *openflow.FlowMod {
 	m := openflow.MatchAll()
@@ -52,12 +77,15 @@ func orphanRule(i int) *openflow.FlowMod {
 	}
 }
 
+// testCluster's lease is far longer than any failover may take: a
+// successor that waits for it to run out fails the test.
 func testCluster(t *testing.T, mode CommitMode) (*Cluster, *netsim.Network) {
 	t.Helper()
 	n := netsim.Single(2, nil)
 	c := startCluster(t, n, func(o *Options) {
 		o.CommitMode = mode
 		o.CheckpointEvery = 4
+		o.LeaseTTL = 10 * time.Second
 	})
 	t.Cleanup(c.Close)
 	return c, n
@@ -113,7 +141,8 @@ func injectN(t *testing.T, c *Cluster, count int) {
 
 // TestClusterKillLeaderFailover is the end-to-end failover path: a
 // 3-replica quorum-commit cluster loses its leader mid-transaction; a
-// follower must win the lease, roll the orphaned transaction back from
+// follower must notice the streams end, take the next epoch without
+// waiting out the 10 s lease, roll the orphaned transaction back from
 // its replicated journal, and resume dispatching new events.
 func TestClusterKillLeaderFailover(t *testing.T) {
 	c, n := testCluster(t, CommitQuorum)
@@ -142,15 +171,15 @@ func TestClusterKillLeaderFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	successor, err := c.WaitLeader("node0", 15*time.Second)
+	successor, err := c.WaitLeader("node0", time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := c.LeaderName(); got == "node0" || got == "" {
 		t.Fatalf("leader after failover = %q", got)
 	}
-	if c.Failovers() != 1 {
-		t.Fatalf("failovers = %d, want 1", c.Failovers())
+	if c.Failovers() != 1 || c.Elections() != 2 {
+		t.Fatalf("failovers = %d, elections = %d; want 1 and 2", c.Failovers(), c.Elections())
 	}
 	if c.LastMTTR() <= 0 {
 		t.Fatal("failover MTTR not recorded")
@@ -197,7 +226,8 @@ func TestClusterKillLeaderFailover(t *testing.T) {
 // TestClusterIsolatedLeaderIsFenced partitions the leader instead of
 // killing it: after a successor is promoted, the old leader's
 // state-changing messages must bounce off the switches (EPERM slave
-// fencing), so a split brain cannot corrupt the data plane.
+// fencing), so a split brain cannot corrupt the data plane. The
+// successor takes over within a second although the old lease runs 10.
 func TestClusterIsolatedLeaderIsFenced(t *testing.T) {
 	c, n := testCluster(t, CommitAsync)
 	injectN(t, c, 4)
@@ -205,7 +235,7 @@ func TestClusterIsolatedLeaderIsFenced(t *testing.T) {
 	if err := c.IsolateLeader(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.WaitLeader("node0", 15*time.Second); err != nil {
+	if _, err := c.WaitLeader("node0", time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -214,20 +244,148 @@ func TestClusterIsolatedLeaderIsFenced(t *testing.T) {
 	if old == nil {
 		t.Fatal("isolated leader stack not retained")
 	}
-	before := len(n.Switch(1).Table().Entries())
-	if err := old.Controller.SendFlowMod(1, orphanRule(9)); err != nil {
-		t.Fatalf("fenced send errored at the controller: %v", err)
+	sw := n.Switch(1)
+	before, fenced := len(sw.Table().Entries()), sw.FencedWrites.Load()
+	const writes = 3
+	for i := 0; i < writes; i++ {
+		if err := old.Controller.SendFlowMod(1, orphanRule(7+i)); err != nil {
+			t.Fatalf("fenced send errored at the controller: %v", err)
+		}
 	}
 	_ = old.Controller.Barrier(1)
-	for _, e := range n.Switch(1).Table().Entries() {
+	if got := sw.FencedWrites.Load() - fenced; got != writes {
+		t.Fatalf("switch counted %d fenced writes, the ex-leader sent %d", got, writes)
+	}
+	for _, e := range sw.Table().Entries() {
 		if e.Priority == 210 {
 			t.Fatal("fenced ex-leader installed a rule through a slave connection")
 		}
 	}
-	if got := len(n.Switch(1).Table().Entries()); got != before {
+	if got := len(sw.Table().Entries()); got != before {
 		t.Fatalf("table grew from %d to %d entries via a fenced connection", before, got)
 	}
 
 	// The healthy side keeps serving.
 	injectN(t, c, 3)
+}
+
+// TestClusterOneLostFollowerIsNoSuspicion: one follower's stream ends,
+// but the leader still reaches a quorum through the other. Nobody takes
+// over, and the leader keeps committing.
+func TestClusterOneLostFollowerIsNoSuspicion(t *testing.T) {
+	c, _ := testCluster(t, CommitQuorum)
+	stack := c.Stack()
+	injectN(t, c, 2)
+	c.mu.Lock()
+	lost := c.nodes[1].applier
+	c.mu.Unlock()
+	lost.conn.Close()
+	waitFor(t, "the stream end reported", lost.Ended)
+	time.Sleep(5 * c.opts.HeartbeatEvery) // the wake-up and a few ticks
+	injectN(t, c, 3)
+	if c.Elections() != 1 || c.LeaderName() != "node0" || c.Stack() != stack {
+		t.Fatalf("one lost follower moved leadership: %d elections, leader %s", c.Elections(), c.LeaderName())
+	}
+	if c.QuorumTimeouts() != 0 || stack.NetLog.JournalErrors.Load() != 0 {
+		t.Fatalf("%d quorum timeouts, %d journal errors with a quorum still there",
+			c.QuorumTimeouts(), stack.NetLog.JournalErrors.Load())
+	}
+}
+
+// TestDeposedLeaderGetsNoQuorum: acks are counted per epoch, so the
+// quorum wait of an isolated ex-leader never completes on its
+// successor's acks. Its write ends as a journal error once QuorumTimeout
+// passes (not counted as a quorum timeout of the serving leader), and
+// the FlowMod it then sends bounces off the switch.
+func TestDeposedLeaderGetsNoQuorum(t *testing.T) {
+	n := netsim.Single(2, nil)
+	c := startCluster(t, n, func(o *Options) { o.QuorumTimeout = 300 * time.Millisecond })
+	defer c.Close()
+	injectN(t, c, 3)
+	if err := c.IsolateLeader(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WaitLeader("node0", 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	old := c.OldLeaderStack()
+	sent := make(chan error, 1)
+	go func() {
+		tx := old.NetLog.Begin()
+		old.NetLog.SetActive(tx)
+		defer old.NetLog.SetActive(nil)
+		if err := old.Controller.SendFlowMod(1, orphanRule(5)); err != nil {
+			sent <- err
+			return
+		}
+		sent <- old.Controller.Barrier(1)
+	}()
+	waitFor(t, "the ex-leader's write waiting for its quorum", c.waiterAsleep)
+	injectN(t, c, 3) // the successor writes well past the ex-leader's position
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if got := old.NetLog.JournalErrors.Load(); got < 1 {
+		t.Fatalf("the deposed leader's write reached a quorum (%d journal errors)", got)
+	}
+	if c.QuorumTimeouts() != 0 {
+		t.Fatalf("%d quorum timeouts charged to the serving leader", c.QuorumTimeouts())
+	}
+	for _, e := range n.Switch(1).Table().Entries() {
+		if e.Priority == 210 {
+			t.Fatal("the deposed leader's rule reached the switch")
+		}
+	}
+}
+
+// TestClusterShipsDeltaCheckpoints: CheckpointDelta reaches every
+// incarnation's store, so the leader's checkpoint log holds delta
+// records, and a successor rebuilds the same latest checkpoint from
+// the replicated log.
+func TestClusterShipsDeltaCheckpoints(t *testing.T) {
+	const recCheckpointDelta = 2 // durable's delta checkpoint record type
+	c := startCluster(t, netsim.Single(2, nil), func(o *Options) {
+		o.CheckpointEvery = 1
+		o.CheckpointDelta = 16
+		o.Apps = []func() controller.App{func() controller.App { return &countingApp{testApp: testApp{name: "rec0"}} }}
+	})
+	defer c.Close()
+	injectN(t, c, 8)
+	st := c.State()
+	st.Checkpoints.Flush()
+	deltas := 0
+	for _, rec := range walRecords(t, st.Checkpoints.WAL()) {
+		if rec.Type == recCheckpointDelta {
+			deltas++
+		}
+	}
+	if deltas == 0 {
+		t.Fatal("the leader's checkpoint log holds no delta records")
+	}
+	end := st.Checkpoints.WAL().EndPos()
+	waitFor(t, "checkpoint log replicated", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for _, nd := range c.nodes[1:] {
+			if nd.applier.ReceivedPos(streamCheckpoints) < end {
+				return false
+			}
+		}
+		return true
+	})
+	want := c.Stack().Store.Latest("rec0")
+	if want == nil {
+		t.Fatal("no checkpoint taken")
+	}
+	if err := c.KillLeader(); err != nil {
+		t.Fatal(err)
+	}
+	successor, err := c.WaitLeader("node0", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := successor.Store.Latest("rec0")
+	if got == nil || got.Seq != want.Seq || !bytes.Equal(got.State, want.State) {
+		t.Fatalf("successor's latest checkpoint %+v, the old leader's %+v", got, want)
+	}
 }

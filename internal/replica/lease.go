@@ -1,11 +1,20 @@
 // Package replica is LegoSDN's replicated control plane: N core.Stack
-// replicas behind a lease-based leader election, with the leader's
-// durable WAL segments (NetLog journal + checkpoint log) shipped to
-// followers over framed replication streams. Followers keep warm shadow
-// copies of both logs; when the leader dies, a follower wins the lease,
-// finishes recovery from its replicated journal (presumed-abort orphan
-// handling, inverse replay against the still-connected switches via
-// master/slave role transfer in netsim), and resumes dispatch.
+// replicas, one leader, with the leader's durable WAL segments (NetLog
+// journal + checkpoint log) shipped to followers over framed replication
+// streams. Followers keep warm shadow copies of both logs. When the
+// streams from the leader end on too many followers for it to reach a
+// quorum, the cluster suspects it and the best-replicated follower takes
+// the next lease epoch at once (a compare-and-swap on the epoch it
+// suspects), finishes recovery from its replicated journal
+// (presumed-abort orphan handling, inverse replay against the
+// still-connected switches via master/slave role transfer in netsim),
+// and resumes dispatch.
+//
+// Safety does not come from the lease running out. The successor's role
+// change demotes the old master on every switch, which then bounces its
+// writes with EPERM, and acks are counted per epoch, so a deposed leader
+// can neither change the network nor complete a quorum write. The lease
+// TTL is a renewal hint for a leader nobody suspects.
 //
 // This closes the gap the paper leaves open: LegoSDN removes the
 // app↔controller fate-sharing, but the controller itself is a single
@@ -34,13 +43,13 @@ type Lease struct {
 // LeaseStore is the election substrate: a single compare-and-swap
 // lease, modeling the external coordination service (etcd, ZooKeeper,
 // or a quorum register) real deployments use. The holder renews within
-// the TTL; anyone else can take over only after expiry.
+// the TTL; anyone else acquires it after expiry, or at once by naming
+// the epoch it suspects (TakeOver).
 type LeaseStore struct {
 	now func() time.Time
 
-	mu        sync.Mutex
-	cur       Lease
-	elections uint64
+	mu  sync.Mutex
+	cur Lease
 }
 
 // NewLeaseStore builds a store on the given clock (nil = time.Now).
@@ -64,66 +73,22 @@ func (s *LeaseStore) TryAcquire(node string, ttl time.Duration) (Lease, bool) {
 		return s.cur, true
 	case s.cur.Holder == "" || now.After(s.cur.Expires):
 		s.cur = Lease{Holder: node, Epoch: s.cur.Epoch + 1, Expires: now.Add(ttl)}
-		s.elections++
 		return s.cur, true
 	default:
 		return s.cur, false
 	}
 }
 
-// Release drops the lease if node holds it, letting a successor acquire
-// without waiting out the TTL (planned handoff).
-func (s *LeaseStore) Release(node string) {
+// TakeOver grants node the lease at epoch+1 if the lease still stands at
+// epoch, expired or not: the caller suspects that epoch's holder, and
+// whoever already moved the epoch on wins instead. Returns the resulting
+// lease and whether node now holds it.
+func (s *LeaseStore) TakeOver(node string, ttl time.Duration, epoch uint64) (Lease, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cur.Holder == node {
-		s.cur.Holder = ""
-		s.cur.Expires = time.Time{}
+	if s.cur.Epoch != epoch {
+		return s.cur, false
 	}
+	s.cur = Lease{Holder: node, Epoch: epoch + 1, Expires: s.now().Add(ttl)}
+	return s.cur, true
 }
-
-// Current returns the lease as last written (it may be expired; callers
-// compare Expires against their own clock).
-func (s *LeaseStore) Current() Lease {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur
-}
-
-// Elections counts holder changes since the store was created.
-func (s *LeaseStore) Elections() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.elections
-}
-
-// Elector is one node's view of the election: Step observes the store
-// once and reports whether this node leads. It renews when leading and
-// tries to acquire when the lease looks expired — the standard
-// lease-loop a replica runs between heartbeats. Step is synchronous so
-// tests can drive re-election flapping under a fake clock.
-type Elector struct {
-	Store *LeaseStore
-	Node  string
-	TTL   time.Duration
-
-	leader bool
-	epoch  uint64
-}
-
-// Step runs one election round. changed reports a leadership
-// transition for this node (gained or lost) relative to the previous
-// Step.
-func (e *Elector) Step() (leader bool, epoch uint64, changed bool) {
-	lease, held := e.Store.TryAcquire(e.Node, e.TTL)
-	wasLeader := e.leader
-	e.leader = held
-	e.epoch = lease.Epoch
-	return e.leader, e.epoch, e.leader != wasLeader
-}
-
-// Leading reports the last Step's outcome without touching the store.
-func (e *Elector) Leading() bool { return e.leader }
-
-// Epoch reports the lease epoch as of the last Step.
-func (e *Elector) Epoch() uint64 { return e.epoch }

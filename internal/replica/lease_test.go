@@ -5,84 +5,94 @@ import (
 	"time"
 )
 
-// TestLeaseStoreBasics covers grant, renewal, mutual exclusion, expiry
-// takeover and planned release.
-func TestLeaseStoreBasics(t *testing.T) {
-	now := time.Unix(1000, 0)
-	s := NewLeaseStore(func() time.Time { return now })
-	ttl := 100 * time.Millisecond
+// leaseStep is one call against a LeaseStore on a stepped clock: advance
+// the clock, then TryAcquire (takeover == false) or TakeOver at epoch.
+type leaseStep struct {
+	what       string
+	advance    time.Duration
+	node       string
+	takeover   bool
+	epoch      uint64
+	wantOK     bool
+	wantHolder string
+	wantEpoch  uint64
+}
 
-	l, ok := s.TryAcquire("a", ttl)
-	if !ok || l.Holder != "a" || l.Epoch != 1 {
-		t.Fatalf("initial acquire = %+v, %v", l, ok)
-	}
-	if _, ok := s.TryAcquire("b", ttl); ok {
-		t.Fatal("b acquired an unexpired lease held by a")
-	}
-	now = now.Add(50 * time.Millisecond)
-	if l, ok := s.TryAcquire("a", ttl); !ok || l.Epoch != 1 {
-		t.Fatalf("renewal = %+v, %v (epoch must not bump)", l, ok)
-	}
-	now = now.Add(ttl + time.Millisecond)
-	l, ok = s.TryAcquire("b", ttl)
-	if !ok || l.Holder != "b" || l.Epoch != 2 {
-		t.Fatalf("takeover after expiry = %+v, %v", l, ok)
-	}
-	s.Release("b")
-	if l, ok := s.TryAcquire("a", ttl); !ok || l.Epoch != 3 {
-		t.Fatalf("acquire after release = %+v, %v", l, ok)
-	}
-	if got := s.Elections(); got != 3 {
-		t.Fatalf("elections = %d, want 3", got)
+func runLeaseSteps(t *testing.T, s *LeaseStore, now *time.Time, ttl time.Duration, steps []leaseStep) {
+	t.Helper()
+	for _, st := range steps {
+		*now = now.Add(st.advance)
+		var l Lease
+		var ok bool
+		if st.takeover {
+			l, ok = s.TakeOver(st.node, ttl, st.epoch)
+		} else {
+			l, ok = s.TryAcquire(st.node, ttl)
+		}
+		if ok != st.wantOK || l.Holder != st.wantHolder || l.Epoch != st.wantEpoch {
+			t.Fatalf("%s: got %+v, %v; want holder %q epoch %d, ok=%v",
+				st.what, l, ok, st.wantHolder, st.wantEpoch, st.wantOK)
+		}
 	}
 }
 
-// TestElectionFlappingFakeClock drives two electors through repeated
-// lease expiries on a stepped clock: leadership must ping-pong with an
-// epoch bump and exactly one changed-transition pair per flap, and
-// never be held by both nodes at once.
-func TestElectionFlappingFakeClock(t *testing.T) {
-	now := time.Unix(2000, 0)
-	store := NewLeaseStore(func() time.Time { return now })
+// TestLeaseStoreBasics covers grant, renewal, mutual exclusion, expiry
+// takeover and the epoch compare-and-swap.
+func TestLeaseStoreBasics(t *testing.T) {
+	now := time.Unix(1000, 0)
 	ttl := 100 * time.Millisecond
-	a := &Elector{Store: store, Node: "a", TTL: ttl}
-	b := &Elector{Store: store, Node: "b", TTL: ttl}
+	s := NewLeaseStore(func() time.Time { return now })
+	runLeaseSteps(t, s, &now, ttl, []leaseStep{
+		{what: "initial acquire", node: "a", wantOK: true, wantHolder: "a", wantEpoch: 1},
+		{what: "unexpired lease", node: "b", wantHolder: "a", wantEpoch: 1},
+		{what: "renewal keeps the epoch", advance: ttl / 2, node: "a", wantOK: true, wantHolder: "a", wantEpoch: 1},
+		{what: "acquire after expiry", advance: ttl + time.Millisecond, node: "b", wantOK: true, wantHolder: "b", wantEpoch: 2},
+		{what: "takeover of a stale epoch", node: "a", takeover: true, epoch: 1, wantHolder: "b", wantEpoch: 2},
+		{what: "takeover before expiry", node: "a", takeover: true, epoch: 2, wantOK: true, wantHolder: "a", wantEpoch: 3},
+		{what: "second takeover of the same epoch", node: "c", takeover: true, epoch: 2, wantHolder: "a", wantEpoch: 3},
+		{what: "deposed holder cannot renew", node: "b", wantHolder: "a", wantEpoch: 3},
+		{what: "new holder renews", advance: ttl / 2, node: "a", wantOK: true, wantHolder: "a", wantEpoch: 3},
+		{what: "takeover of an expired lease", advance: 10 * ttl, node: "b", takeover: true, epoch: 3, wantOK: true, wantHolder: "b", wantEpoch: 4},
+	})
+}
 
-	if leader, epoch, changed := a.Step(); !leader || epoch != 1 || !changed {
-		t.Fatalf("a first step = %v, %d, %v", leader, epoch, changed)
-	}
-	if leader, _, changed := b.Step(); leader || changed {
-		t.Fatal("b stole an unexpired lease")
-	}
-
-	holder := a
-	other := b
-	wantEpoch := uint64(1)
-	for flap := 0; flap < 6; flap++ {
-		// Holder renews within the TTL: no transition, no epoch bump.
-		now = now.Add(ttl / 2)
-		if leader, epoch, changed := holder.Step(); !leader || changed || epoch != wantEpoch {
-			t.Fatalf("flap %d: renewal = %v, %d, %v (want leading, epoch %d, unchanged)",
-				flap, leader, epoch, changed, wantEpoch)
-		}
-		if leader, _, _ := other.Step(); leader {
-			t.Fatalf("flap %d: both nodes leading", flap)
-		}
-		// Holder goes silent past the TTL: the other node takes over.
-		now = now.Add(ttl + time.Millisecond)
-		wantEpoch++
-		if leader, epoch, changed := other.Step(); !leader || !changed || epoch != wantEpoch {
-			t.Fatalf("flap %d: takeover = %v, %d, %v (want leading, epoch %d, changed)",
-				flap, leader, epoch, changed, wantEpoch)
-		}
-		// The deposed node observes the loss as its own transition.
-		if leader, _, changed := holder.Step(); leader || !changed {
-			t.Fatalf("flap %d: deposed node did not observe loss", flap)
-		}
-		holder, other = other, holder
-	}
-	// Initial election + one per flap.
-	if got := store.Elections(); got != 7 {
-		t.Fatalf("elections = %d, want 7", got)
+// TestElectionFlappingFakeClock ping-pongs leadership between two nodes
+// on a stepped clock, once by waiting out the lease and once by taking
+// over on suspicion: every flap bumps the epoch by one, the holder's
+// renewals never do, and neither node ever shares the lease.
+func TestElectionFlappingFakeClock(t *testing.T) {
+	ttl := 100 * time.Millisecond
+	for _, tc := range []struct {
+		name     string
+		takeover bool
+		wait     time.Duration // before the other node moves in
+	}{
+		{"lease-expiry", false, ttl + time.Millisecond},
+		{"takeover-on-suspicion", true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			now := time.Unix(2000, 0)
+			s := NewLeaseStore(func() time.Time { return now })
+			runLeaseSteps(t, s, &now, ttl, []leaseStep{
+				{what: "first election", node: "a", wantOK: true, wantHolder: "a", wantEpoch: 1},
+			})
+			holder, other := "a", "b"
+			for epoch := uint64(1); epoch <= 6; epoch++ {
+				runLeaseSteps(t, s, &now, ttl, []leaseStep{
+					{what: "renewal", advance: ttl / 2, node: holder, wantOK: true, wantHolder: holder, wantEpoch: epoch},
+					{what: "other node while held", node: other, wantHolder: holder, wantEpoch: epoch},
+					{what: "flap", advance: tc.wait, node: other, takeover: tc.takeover, epoch: epoch,
+						wantOK: true, wantHolder: other, wantEpoch: epoch + 1},
+					{what: "deposed node renews", node: holder, wantHolder: other, wantEpoch: epoch + 1},
+					{what: "deposed node takes over its own epoch", node: holder, takeover: true, epoch: epoch,
+						wantHolder: other, wantEpoch: epoch + 1},
+				})
+				holder, other = other, holder
+			}
+			// The first election and one per flap.
+			runLeaseSteps(t, s, &now, ttl, []leaseStep{
+				{what: "final holder", node: holder, wantOK: true, wantHolder: holder, wantEpoch: 7},
+			})
+		})
 	}
 }

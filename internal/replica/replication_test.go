@@ -82,7 +82,7 @@ func TestFollowerJoinsMidStreamAfterCompaction(t *testing.T) {
 	}
 
 	shipConn, applyConn := net.Pipe()
-	app, err := NewApplier(filepath.Join(dir, "follower"), applyConn, opts, 0)
+	app, err := NewApplier(filepath.Join(dir, "follower"), applyConn, opts, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	opts := durable.Options{NoSync: true}
 	leaderSide, applyConn := net.Pipe()
-	app, err := NewApplier(dir, applyConn, opts, 0)
+	app, err := NewApplier(dir, applyConn, opts, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

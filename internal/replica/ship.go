@@ -25,9 +25,8 @@ type Shipper struct {
 	streams []*shipStream
 	onAck   func(stream byte, pos uint64)
 
-	shipped metrics.Counter
-	resets  metrics.Counter
-	scans   metrics.Counter // passes of the shipping loop over both streams
+	resets metrics.Counter
+	scans  metrics.Counter // passes of the shipping loop over both streams
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -59,12 +58,11 @@ func NewShipper(conn net.Conn, netlogWAL, checkpointWAL *durable.WAL, onAck func
 	}
 }
 
-// Shipped reports records sent; Resets the generation resyncs sent;
-// Scans the passes the shipping loop has made over its streams (an
-// idle shipper makes next to none).
-func (s *Shipper) Shipped() uint64 { return s.shipped.Load() }
-func (s *Shipper) Resets() uint64  { return s.resets.Load() }
-func (s *Shipper) Scans() uint64   { return s.scans.Load() }
+// Resets reports the generation resyncs sent; Scans the passes the
+// shipping loop has made over its streams (an idle shipper makes next
+// to none).
+func (s *Shipper) Resets() uint64 { return s.resets.Load() }
+func (s *Shipper) Scans() uint64  { return s.scans.Load() }
 
 // Run starts the ack reader and the shipping loop. It returns
 // immediately; Stop tears both down.
@@ -183,7 +181,6 @@ func (s *Shipper) step(st *shipStream) (progress bool, err error) {
 		}); err != nil {
 			return progress, err
 		}
-		s.shipped.Inc()
 		progress = true
 	}
 }

@@ -28,7 +28,7 @@ import (
 func startPair(t *testing.T, dir string, lead, ckpt *durable.WAL, opts durable.Options, applyDelay time.Duration) (*Shipper, *Applier) {
 	t.Helper()
 	shipConn, applyConn := net.Pipe()
-	app, err := NewApplier(dir, applyConn, opts, applyDelay)
+	app, err := NewApplier(dir, applyConn, opts, applyDelay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func quorumFixture(timeout time.Duration) *Cluster {
 	for _, name := range []string{"node0", "node1", "node2"} {
 		c.nodes = append(c.nodes, &node{name: name, alive: true})
 	}
-	c.leader = c.nodes[0]
+	c.leader, c.epoch = c.nodes[0], 1
 	return c
 }
 
@@ -196,10 +196,10 @@ func (c *Cluster) waiterAsleep() bool {
 func TestWaitQuorumWakesOnAck(t *testing.T) {
 	c := quorumFixture(time.Minute)
 	done := make(chan error, 1)
-	go func() { done <- c.waitQuorum(7) }()
+	go func() { done <- c.waitQuorum(1, 7) }()
 	waitFor(t, "waiter asleep", c.waiterAsleep)
 
-	c.noteAck("node1", 6) // short of the position: recount, sleep again
+	c.noteAck(1, "node1", 6) // short of the position: recount, sleep again
 	waitFor(t, "waiter asleep again", c.waiterAsleep)
 	select {
 	case err := <-done:
@@ -208,7 +208,7 @@ func TestWaitQuorumWakesOnAck(t *testing.T) {
 	}
 
 	start := time.Now()
-	c.noteAck("node2", 7)
+	c.noteAck(1, "node2", 7)
 	select {
 	case err := <-done:
 		if err != nil {
@@ -224,16 +224,16 @@ func TestWaitQuorumWakesOnAck(t *testing.T) {
 		t.Fatalf("%d quorum timeouts", c.QuorumTimeouts())
 	}
 	// Already held: no sleep at all.
-	if err := c.waitQuorum(7); err != nil || c.waiterAsleep() {
+	if err := c.waitQuorum(1, 7); err != nil || c.waiterAsleep() {
 		t.Fatalf("wait for a held position: %v, asleep=%v", err, c.waiterAsleep())
 	}
 }
 
 func TestWaitQuorumStillTimesOut(t *testing.T) {
 	c := quorumFixture(30 * time.Millisecond)
-	c.noteAck("node1", 3)
+	c.noteAck(1, "node1", 3)
 	start := time.Now()
-	err := c.waitQuorum(4)
+	err := c.waitQuorum(1, 4)
 	if err == nil || c.QuorumTimeouts() != 1 {
 		t.Fatalf("err=%v, %d timeouts; want an error and 1", err, c.QuorumTimeouts())
 	}
@@ -242,8 +242,22 @@ func TestWaitQuorumStillTimesOut(t *testing.T) {
 	}
 }
 
+// cutFollowers takes every follower out of the cluster and ends its
+// replication stream: no ack reaches the leader any more, and with no
+// live follower left nobody takes over from it.
+func cutFollowers(c *Cluster) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, nd := range c.nodes {
+		if nd != c.leader {
+			nd.alive = false
+			nd.applier.conn.Close()
+		}
+	}
+}
+
 // TestQuorumWriteTimesOutWhenFollowersAreCut runs the real thing: a
-// quorum cluster whose follower connections drop degrades the next
+// quorum cluster whose followers drop out degrades the next
 // journaled operation to a journal error after QuorumTimeout, counts
 // it, and keeps serving. The strict registry doubles as the
 // duplicate-name gate for the cluster's own instruments.
@@ -261,13 +275,7 @@ func TestQuorumWriteTimesOutWhenFollowersAreCut(t *testing.T) {
 		t.Fatalf("healthy cluster: %d quorum timeouts, %d journal errors", c.QuorumTimeouts(), stack.NetLog.JournalErrors.Load())
 	}
 
-	c.mu.Lock()
-	for _, nd := range c.nodes {
-		if nd.applier != nil {
-			nd.applier.conn.Close()
-		}
-	}
-	c.mu.Unlock()
+	cutFollowers(c)
 	injectN(t, c, 1)
 	if c.QuorumTimeouts() != 1 || stack.NetLog.JournalErrors.Load() != 1 {
 		t.Fatalf("after the cut: %d quorum timeouts, %d journal errors; want 1 and 1", c.QuorumTimeouts(), stack.NetLog.JournalErrors.Load())
@@ -286,20 +294,14 @@ func TestQuorumWriteTimesOutWhenFollowersAreCut(t *testing.T) {
 
 // TestCloseEndsPendingQuorumWait: Close while an event's journaled
 // operation sleeps in waitQuorum returns at once, and the interrupted
-// wait is not a quorum timeout. The follower connections are cut first
-// so that no ack can end the wait; Close used to stop replication and
+// wait is not a quorum timeout. The followers are cut first so that no
+// ack can end the wait; Close used to stop replication and
 // then wait for the stack, whose event slept the full QuorumTimeout.
 func TestCloseEndsPendingQuorumWait(t *testing.T) {
 	const quorumTimeout = 2 * time.Second
 	c := startCluster(t, netsim.Single(2, nil), func(o *Options) { o.QuorumTimeout = quorumTimeout })
 	injectN(t, c, 1)
-	c.mu.Lock()
-	for _, nd := range c.nodes {
-		if nd.applier != nil {
-			nd.applier.conn.Close()
-		}
-	}
-	c.mu.Unlock()
+	cutFollowers(c)
 	if err := c.Stack().Controller.Inject(controller.Event{Kind: controller.EventPacketIn, DPID: 1,
 		Message: &openflow.PacketIn{BufferID: openflow.BufferIDNone, InPort: 100}}); err != nil {
 		t.Fatal(err)
@@ -324,7 +326,7 @@ func TestApplierBatchesWhatQueuedUp(t *testing.T) {
 	opts := durable.Options{NoSync: true}
 	leaderSide, applyConn := net.Pipe()
 	// The reset's delay holds the apply loop while the records queue up.
-	app, err := NewApplier(dir, applyConn, opts, 2*time.Millisecond)
+	app, err := NewApplier(dir, applyConn, opts, 2*time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
