@@ -406,7 +406,6 @@ func (s *Stack) recoverDurable() error {
 		sp.Attr("error", err.Error())
 	}
 	sp.End()
-	tl.Finish()
 	outcome := "Recovered"
 	if err != nil {
 		outcome = "Failed"
@@ -416,6 +415,8 @@ func (s *Stack) recoverDurable() error {
 		App:  "controller",
 		Note: fmt.Sprintf("durable recovery: %d txn(s), %d mod(s), outcome=%s", txns, mods, outcome),
 	})
+	evidence := s.cfg.Flight.Correlated("controller", 0, 0, 16) // inside the timeline, as in Crash-Pad
+	tl.Finish()
 	a := &flightrec.Autopsy{
 		App:     "controller",
 		Trigger: "durable-recovery",
@@ -427,7 +428,7 @@ func (s *Stack) recoverDurable() error {
 		},
 		Timeline:        tl.Phases(),
 		RecoverySeconds: tl.Total().Seconds(),
-		Records:         s.cfg.Flight.Correlated("controller", 0, 0, 16),
+		Records:         evidence,
 	}
 	if err != nil {
 		a.Notes = append(a.Notes, "error: "+err.Error())

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"encoding/json"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +14,7 @@ import (
 	"legosdn/internal/apps"
 	"legosdn/internal/controller"
 	"legosdn/internal/crashpad"
+	"legosdn/internal/durable"
 	"legosdn/internal/faultinject"
 	"legosdn/internal/flightrec"
 	"legosdn/internal/invariant"
@@ -579,5 +583,75 @@ func TestStackFlightRecorderAlwaysOn(t *testing.T) {
 	recs := stack.Flight.LayerRecords(flightrec.LayerController, 10)
 	if len(recs) == 0 {
 		t.Fatal("no controller flight records after switch-up dispatches")
+	}
+}
+
+// TestRestartKeepsPredecessorsAutopsies: incarnation A recovers a
+// crashed app and then dies with a journaled transaction open;
+// incarnation B, on the same state directory, rolls the orphan back.
+// Both autopsy reports stay on disk.
+func TestRestartKeepsPredecessorsAutopsies(t *testing.T) {
+	dir := t.TempDir()
+	n := netsim.Single(2, nil)
+
+	stA, err := durable.OpenState(dir, 0, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stackA := NewStack(Config{Mode: ModeLegoSDN, Durable: stA, HeartbeatTimeout: -1})
+	if err := stackA.AddApp(newPortPoisonApp(6666)); err != nil {
+		t.Fatal(err)
+	}
+	if err := stackA.ConnectNetwork(n); err != nil {
+		t.Fatal(err)
+	}
+	h1, h2 := n.Host("h1"), n.Host("h2")
+	n.SendFromHost("h1", netsim.TCPFrame(h1, h2, 1000, 6666, nil))
+	waitFor(t, "crash autopsy", func() bool { return stackA.Autopsies.Persisted.Load() >= 1 })
+
+	m := openflow.MatchAll()
+	m.Wildcards &^= openflow.WildcardTpDst
+	m.TpDst = 9100
+	tx := stackA.NetLog.Begin()
+	stackA.NetLog.SetActive(tx)
+	err = stackA.Controller.SendFlowMod(1, &openflow.FlowMod{
+		Match: m, Command: openflow.FlowModAdd, BufferID: openflow.BufferIDNone, OutPort: openflow.PortNone,
+	})
+	stackA.NetLog.SetActive(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stackA.Close() // killed mid-transaction: nothing resolves tx
+	_ = stA.Close()
+
+	stB, err := durable.OpenState(dir, 0, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stB.Close()
+	stackB := NewStack(Config{Mode: ModeLegoSDN, Durable: stB, HeartbeatTimeout: -1})
+	defer stackB.Close()
+	if err := stackB.AddApp(newPortPoisonApp(6666)); err != nil {
+		t.Fatal(err)
+	}
+	if err := stackB.ConnectNetwork(n); err != nil {
+		t.Fatal(err)
+	}
+
+	files, _ := filepath.Glob(filepath.Join(dir, "autopsies", "autopsy-*.json"))
+	var triggers []string
+	for _, f := range files {
+		var a flightrec.Autopsy
+		data, err := os.ReadFile(f)
+		if err == nil {
+			err = json.Unmarshal(data, &a)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		triggers = append(triggers, a.Trigger)
+	}
+	if want := []string{"app-crash", "durable-recovery"}; !slices.Equal(triggers, want) {
+		t.Fatalf("autopsy files %v hold triggers %v, want %v", files, triggers, want)
 	}
 }

@@ -337,6 +337,14 @@ func (cp *CrashPad) recover(app controller.App, ctx controller.Context, ev contr
 	}
 	finish := func(outcome Outcome) {
 		ticket.Outcome = outcome
+		cp.opts.Flight.Record(flightrec.Record{
+			Layer: flightrec.LayerCrashPad, Kind: flightrec.KindRecoveryDone,
+			App: name, Trace: ev.Trace.TraceID, EvSeq: ev.Seq,
+			Note: fmt.Sprintf("outcome=%s decision=%s", outcome, decision),
+		})
+		// The evidence is part of the recovery: gather it before the
+		// timeline closes, so the resume phase and RecoveryTime carry it.
+		evidence := cp.opts.Flight.Correlated(name, ev.Trace.TraceID, 0, 16)
 		tl.Finish()
 		if tl != nil {
 			// The timeline's clock is authoritative (tests inject fakes);
@@ -356,11 +364,6 @@ func (cp *CrashPad) recover(app controller.App, ctx controller.Context, ev contr
 			cp.outcomeBy[outcome].Inc()
 		}
 		cp.tickets.open(ticket)
-		cp.opts.Flight.Record(flightrec.Record{
-			Layer: flightrec.LayerCrashPad, Kind: flightrec.KindRecoveryDone,
-			App: name, Trace: ev.Trace.TraceID, EvSeq: ev.Seq,
-			Note: fmt.Sprintf("outcome=%s decision=%s", outcome, decision),
-		})
 		if recSpan != nil {
 			recSpan.Attr("decision", decision).Attr("outcome", outcome.String()).End()
 		}
@@ -383,7 +386,7 @@ func (cp *CrashPad) recover(app controller.App, ctx controller.Context, ev contr
 				Notes:           append([]string(nil), ticket.Notes...),
 				Timeline:        tl.Phases(),
 				RecoverySeconds: ticket.RecoveryTime.Seconds(),
-				Records:         cp.opts.Flight.Correlated(name, ev.Trace.TraceID, 0, 16),
+				Records:         evidence,
 			}
 			if ev.Trace.TraceID != 0 {
 				a.TraceID = trace.IDString(ev.Trace.TraceID)

@@ -23,8 +23,9 @@
 package flightrec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -235,43 +236,13 @@ func (r *Recorder) Record(rec Record) {
 	r.Records.Add(1)
 }
 
-// Snapshot copies every record currently held, across all layers,
-// ordered by global sequence.
-func (r *Recorder) Snapshot() []Record {
-	if r == nil {
-		return nil
-	}
-	var out []Record
-	for l := range r.rings {
-		out = append(out, r.layerRecords(Layer(l))...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
 // LayerRecords returns the last n records of one layer, oldest first
 // (n <= 0 returns all held).
 func (r *Recorder) LayerRecords(l Layer, n int) []Record {
 	if r == nil || l >= NumLayers {
 		return nil
 	}
-	recs := r.layerRecords(l)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
-	if n > 0 && len(recs) > n {
-		recs = recs[len(recs)-n:]
-	}
-	return recs
-}
-
-func (r *Recorder) layerRecords(l Layer) []Record {
-	rg := &r.rings[l]
-	out := make([]Record, 0, len(rg.slots))
-	for i := range rg.slots {
-		if rec := rg.slots[i].Load(); rec != nil {
-			out = append(out, *rec)
-		}
-	}
-	return out
+	return r.rings[l].newest(n, func(*Record) bool { return true })
 }
 
 // Correlated pulls the evidence for one failure: for each layer, the
@@ -287,26 +258,44 @@ func (r *Recorder) Correlated(app string, traceID, txnID uint64, perLayer int) m
 	if perLayer <= 0 {
 		perLayer = 16
 	}
+	match := func(rec *Record) bool {
+		return app == "" || rec.App == "" || rec.App == app ||
+			traceID != 0 && rec.Trace == traceID ||
+			txnID != 0 && rec.Txn == txnID
+	}
 	out := make(map[string][]Record, NumLayers)
 	for l := Layer(0); l < NumLayers; l++ {
-		recs := r.LayerRecords(l, 0)
-		kept := recs[:0]
-		for _, rec := range recs {
-			switch {
-			case app == "" || rec.App == "" || rec.App == app:
-			case traceID != 0 && rec.Trace == traceID:
-			case txnID != 0 && rec.Txn == txnID:
-			default:
-				continue
-			}
-			kept = append(kept, rec)
+		if recs := r.rings[l].newest(perLayer, match); len(recs) > 0 {
+			out[l.String()] = recs
 		}
-		if len(kept) > perLayer {
-			kept = kept[len(kept)-perLayer:]
+	}
+	return out
+}
+
+// newest returns up to n of the newest records that keep accepts,
+// oldest first (n <= 0 means no limit). It walks back from the write
+// position and stops at the n-th match, so its cost follows n and the
+// share of records that match, not the ring's capacity. Each slot is
+// read once: concurrent writers can make the walk miss a record being
+// overwritten, never return one twice.
+func (rg *ring) newest(n int, keep func(*Record) bool) []Record {
+	size := uint64(len(rg.slots))
+	if n <= 0 || uint64(n) > size {
+		n = int(size)
+	}
+	end := rg.next.Load()
+	out := make([]Record, 0, min(uint64(n), end))
+	for i := uint64(0); i < size && i < end && len(out) < n; i++ {
+		if rec := rg.slots[(end-1-i)&rg.mask].Load(); rec != nil && keep(rec) {
+			out = append(out, *rec)
 		}
-		if len(kept) > 0 {
-			out[l.String()] = append([]Record(nil), kept...)
-		}
+	}
+	// The walk is newest first. Concurrent writers can publish out of
+	// Seq order, so sort only when reversing did not order it.
+	slices.Reverse(out)
+	bySeq := func(a, b Record) int { return cmp.Compare(a.Seq, b.Seq) }
+	if !slices.IsSortedFunc(out, bySeq) {
+		slices.SortFunc(out, bySeq)
 	}
 	return out
 }

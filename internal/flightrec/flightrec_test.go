@@ -2,6 +2,11 @@ package flightrec
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -11,9 +16,6 @@ import (
 func TestNilRecorderNoops(t *testing.T) {
 	var r *Recorder
 	r.Record(Record{Layer: LayerNetLog})
-	if got := r.Snapshot(); got != nil {
-		t.Fatalf("nil snapshot = %v", got)
-	}
 	if got := r.LayerRecords(LayerNetLog, 4); got != nil {
 		t.Fatalf("nil layer records = %v", got)
 	}
@@ -81,7 +83,7 @@ func TestLayersAreIndependent(t *testing.T) {
 	if n := len(r.LayerRecords(LayerCrashPad, 0)); n != 1 {
 		t.Fatalf("crashpad ring holds %d, want 1", n)
 	}
-	if n := len(r.Snapshot()); n != 2 {
+	if n := len(refSnapshot(r)); n != 2 {
 		t.Fatalf("snapshot holds %d, want 2", n)
 	}
 }
@@ -129,13 +131,16 @@ func TestCorrelatedBoundsPerLayer(t *testing.T) {
 }
 
 // TestConcurrentWrapHammer drives many writers through a tiny ring so
-// slots wrap constantly while a reader snapshots, proving the
-// publication scheme race-clean (run under -race in CI) and that every
-// observed record is internally consistent.
+// slots wrap constantly while a reader walks the rings, proving the
+// publication scheme race-clean (run under -race in CI), every observed
+// record internally consistent, and Correlated's result well formed:
+// sorted by Seq, at most perLayer per layer, no duplicates, and every
+// record in its layer and matching the filter.
 func TestConcurrentWrapHammer(t *testing.T) {
 	r := New(Options{PerLayer: 64})
 	const writers = 8
 	const perWriter = 5000
+	const perLayer = 16
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -148,9 +153,20 @@ func TestConcurrentWrapHammer(t *testing.T) {
 				return
 			default:
 			}
-			for _, rec := range r.Snapshot() {
-				if rec.Seq == 0 || rec.TS == 0 {
-					panic(fmt.Sprintf("torn record observed: %+v", rec))
+			for l := Layer(0); l < NumLayers; l++ {
+				for _, rec := range r.LayerRecords(l, 0) {
+					if rec.Seq == 0 || rec.TS == 0 || rec.Layer != l {
+						t.Errorf("torn record observed: %+v", rec)
+						return
+					}
+				}
+			}
+			for layer, recs := range r.Correlated("app3", 0, 7, perLayer) {
+				if msg := checkCorrelated(layer, recs, perLayer, func(rec Record) bool {
+					return rec.App == "app3" || rec.App == "" || rec.Txn == 7
+				}); msg != "" {
+					t.Error(msg)
+					return
 				}
 			}
 		}
@@ -166,6 +182,7 @@ func TestConcurrentWrapHammer(t *testing.T) {
 					Layer: Layer(uint64(w+i) % uint64(NumLayers)),
 					Kind:  KindEventDispatched,
 					App:   app,
+					Txn:   uint64(i % 11),
 					EvSeq: uint64(i),
 				})
 			}
@@ -211,3 +228,159 @@ func TestInstrumentRegistersCounters(t *testing.T) {
 		t.Fatalf("Records=%d, want 1", got)
 	}
 }
+
+// refLayerRecords, refSnapshot and refCorrelated are the full-copy
+// reference: copy every held slot, sort by Seq, filter, keep the tail.
+// The differential tests hold the ring walk to them.
+func refLayerRecords(r *Recorder, l Layer, n int) []Record {
+	rg := &r.rings[l]
+	recs := make([]Record, 0, len(rg.slots))
+	for i := range rg.slots {
+		if rec := rg.slots[i].Load(); rec != nil {
+			recs = append(recs, *rec)
+		}
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
+	if n > 0 && len(recs) > n {
+		recs = recs[len(recs)-n:]
+	}
+	return recs
+}
+
+func refSnapshot(r *Recorder) []Record {
+	var out []Record
+	for l := Layer(0); l < NumLayers; l++ {
+		out = append(out, refLayerRecords(r, l, 0)...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out
+}
+
+func refCorrelated(r *Recorder, app string, traceID, txnID uint64, perLayer int) map[string][]Record {
+	if perLayer <= 0 {
+		perLayer = 16
+	}
+	out := make(map[string][]Record, NumLayers)
+	for l := Layer(0); l < NumLayers; l++ {
+		var kept []Record
+		for _, rec := range refLayerRecords(r, l, 0) {
+			switch {
+			case app == "" || rec.App == "" || rec.App == app:
+			case traceID != 0 && rec.Trace == traceID:
+			case txnID != 0 && rec.Txn == txnID:
+			default:
+				continue
+			}
+			kept = append(kept, rec)
+		}
+		if len(kept) > perLayer {
+			kept = kept[len(kept)-perLayer:]
+		}
+		if len(kept) > 0 {
+			out[l.String()] = kept
+		}
+	}
+	return out
+}
+
+// checkCorrelated reports what is wrong with one layer of a Correlated
+// result, or "" when it is well formed.
+func checkCorrelated(layer string, recs []Record, perLayer int, match func(Record) bool) string {
+	if len(recs) == 0 || len(recs) > perLayer {
+		return fmt.Sprintf("%s: %d records, want 1..%d", layer, len(recs), perLayer)
+	}
+	for i, rec := range recs {
+		if rec.Layer.String() != layer || !match(rec) {
+			return fmt.Sprintf("%s: record %+v is in the wrong layer or fails the filter", layer, rec)
+		}
+		if i > 0 && rec.Seq <= recs[i-1].Seq {
+			return fmt.Sprintf("%s: seq %d after %d: unsorted or duplicated", layer, rec.Seq, recs[i-1].Seq)
+		}
+	}
+	return ""
+}
+
+// fillRings writes n records per layer from one goroutine, with app,
+// trace and txn drawn from small sets so every filter has hits and
+// misses.
+func fillRings(r *Recorder, rng *rand.Rand, n int) {
+	apps := []string{"", "fw", "lswitch", "router"}
+	for i := 0; i < n; i++ {
+		for l := Layer(0); l < NumLayers; l++ {
+			r.Record(Record{
+				Layer: l,
+				Kind:  Kind(rng.Intn(int(KindRecoveryDone) + 1)),
+				App:   apps[rng.Intn(len(apps))],
+				Trace: uint64(rng.Intn(4)),
+				Txn:   uint64(rng.Intn(6)),
+				EvSeq: uint64(i),
+			})
+		}
+	}
+}
+
+func TestRingWalkMatchesFullCopy(t *testing.T) {
+	const capacity = 32
+	for _, fill := range []int{0, 1, 13, capacity, 3*capacity + 5} {
+		r := New(Options{PerLayer: capacity})
+		fillRings(r, rand.New(rand.NewSource(int64(fill))), fill)
+		for _, n := range []int{-1, 0, 1, 16, capacity, capacity + 7} {
+			for l := Layer(0); l < NumLayers; l++ {
+				got, want := r.LayerRecords(l, n), refLayerRecords(r, l, n)
+				if !slices.Equal(got, want) {
+					t.Fatalf("fill %d: LayerRecords(%s, %d) = %v, want %v", fill, l, n, got, want)
+				}
+			}
+		}
+		for _, app := range []string{"", "fw", "absent"} {
+			for _, trace := range []uint64{0, 2} {
+				for _, txn := range []uint64{0, 5} {
+					for _, perLayer := range []int{0, 1, 16, capacity + 7} {
+						got := r.Correlated(app, trace, txn, perLayer)
+						want := refCorrelated(r, app, trace, txn, perLayer)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("fill %d: Correlated(%q, %d, %d, %d) = %v, want %v",
+								fill, app, trace, txn, perLayer, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// fullRecorder returns a recorder of default capacity with every ring
+// wrapped, as a deployment's is after its first few thousand events.
+func fullRecorder() *Recorder {
+	r := New(Options{})
+	fillRings(r, rand.New(rand.NewSource(1)), 3*2048)
+	return r
+}
+
+// TestCorrelatedCostFollowsPerLayer pins what one autopsy's evidence
+// costs on full default rings: the records it returns, not a copy of
+// all 5 x 2048 slots (about 1 MiB).
+func TestCorrelatedCostFollowsPerLayer(t *testing.T) {
+	r := fullRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := r.Correlated("fw", 2, 0, 16)
+	runtime.ReadMemStats(&after)
+	if n := len(got["netlog"]); n != 16 {
+		t.Fatalf("netlog kept %d records, want 16", n)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+		t.Fatalf("Correlated allocated %d bytes on full rings, want < 64 KiB", alloc)
+	}
+}
+
+func BenchmarkCorrelatedFullRings(b *testing.B) {
+	r := fullRecorder()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		correlatedSink = r.Correlated("fw", 2, 0, 16)
+	}
+}
+
+var correlatedSink map[string][]Record

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -30,20 +31,26 @@ type Store struct {
 }
 
 // NewStore creates a Store. dir == "" disables persistence; keep <= 0
-// defaults to 32 in-memory autopsies.
+// defaults to 32 in-memory autopsies. Ids continue after the highest
+// autopsy file already in dir, so a restarted controller on the same
+// state directory adds to its predecessor's reports instead of
+// overwriting them.
 func NewStore(dir string, keep int) *Store {
 	if keep <= 0 {
 		keep = 32
 	}
-	return &Store{dir: dir, keep: keep}
-}
-
-// Dir reports where autopsies persist ("" when persistence is off).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
+	s := &Store{dir: dir, keep: keep}
+	// A missing directory holds no reports yet; an unreadable one fails
+	// the first persist, which PersistErrors counts.
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		num, isReport := strings.CutPrefix(e.Name(), "autopsy-")
+		num, isJSON := strings.CutSuffix(num, ".json")
+		if id, err := strconv.Atoi(num); isReport && isJSON && err == nil && id > s.nextID {
+			s.nextID = id
+		}
 	}
-	return s.dir
+	return s
 }
 
 // Instrument registers the store's counters into reg.

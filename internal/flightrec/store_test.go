@@ -52,6 +52,37 @@ func TestStorePersistsParseableAutopsies(t *testing.T) {
 	}
 }
 
+// TestStoreContinuesIDsAcrossIncarnations: a restarted controller on
+// the same directory adds its reports after its predecessor's instead
+// of overwriting autopsy-000001.json.
+func TestStoreContinuesIDsAcrossIncarnations(t *testing.T) {
+	dir := t.TempDir()
+	if id := NewStore(dir, 8).Add(sampleAutopsy("lswitch")); id != 1 {
+		t.Fatalf("first incarnation id = %d, want 1", id)
+	}
+	// A write cut short by a crash leaves a .tmp that must not count.
+	if err := os.WriteFile(filepath.Join(dir, "autopsy-000009.json.tmp"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if id := NewStore(dir, 8).Add(sampleAutopsy("controller")); id != 2 {
+		t.Fatalf("second incarnation id = %d, want 2", id)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "autopsy-*.json"))
+	if len(files) != 2 {
+		t.Fatalf("two incarnations left %d autopsy files, want 2: %v", len(files), files)
+	}
+	for i, app := range []string{"lswitch", "controller"} {
+		var back Autopsy
+		data, err := os.ReadFile(files[i])
+		if err == nil {
+			err = json.Unmarshal(data, &back)
+		}
+		if err != nil || back.App != app || back.ID != i+1 {
+			t.Fatalf("%s: app %q id %d (err %v), want %q id %d", files[i], back.App, back.ID, err, app, i+1)
+		}
+	}
+}
+
 func TestStoreBoundsWindow(t *testing.T) {
 	s := NewStore("", 3)
 	for i := 0; i < 5; i++ {
