@@ -109,7 +109,7 @@ func main() {
 	campaignCorpus := flag.String("campaign-corpus", "", "persist minimized failures as regression corpus entries under this directory")
 	campaignReplay := flag.String("campaign-replay", "", "replay a regression corpus directory byte-for-byte instead of searching")
 	campaignParallel := flag.Int("campaign-parallel", 4, "campaign worker count (results are identical at any parallelism)")
-	autopsyDir := flag.String("autopsy-dir", "", "persist every autopsy report a chaos stack assembles as JSON files under this directory")
+	autopsyDir := flag.String("autopsy-dir", "", "append every autopsy report a chaos stack assembles to <dir>/<scenario>/autopsies.jsonl, one JSON report per line")
 	stateDir := flag.String("state-dir", "", "durable state directory for -durable-smoke (WAL-backed checkpoints + NetLog journal)")
 	smokeIters := flag.Int("durable-smoke", 0, "run N crash-recovery smoke iterations against -state-dir, then exit")
 	smokeHold := flag.Duration("durable-smoke-hold", 80*time.Millisecond, "how long each smoke iteration holds its transaction open")
@@ -225,8 +225,8 @@ func runChaos(seed uint64, only string, verbose bool, autopsyDir string) int {
 	for _, sc := range scenarios {
 		t0 := time.Now()
 		if autopsyDir != "" {
-			// One subdirectory per scenario: autopsy ids restart at 1 for
-			// every stack, so two scenarios must not share a directory.
+			// One log per scenario, so that each scenario's reports
+			// read on their own.
 			sc.AutopsyDir = filepath.Join(autopsyDir, sc.Name)
 		}
 		rep := sc.Run(seed, nil)

@@ -210,8 +210,8 @@ func TestNoCheckpointNoImage(t *testing.T) {
 }
 
 // The held image is dropped by everything that could have changed the
-// app; the next Snapshot then goes to the stub and is still the app's
-// state.
+// app other than a restore (TestRestoreHoldsImage); the next Snapshot
+// then goes to the stub and is still the app's state.
 func TestHeldImageInvalidation(t *testing.T) {
 	var dropAck atomic.Bool
 	sopts := StubOptions{WireFault: func(string, string, uint8) WireVerdict {
@@ -232,11 +232,6 @@ func TestHeldImageInvalidation(t *testing.T) {
 		name  string
 		cause func(t *testing.T, r *imageRig)
 	}{
-		{"restore", func(t *testing.T, r *imageRig) {
-			if err := r.Restore(binary.BigEndian.AppendUint64(nil, 77)); err != nil {
-				t.Fatal(err)
-			}
-		}},
 		{"killed stub, respawn", func(t *testing.T, r *imageRig) {
 			r.KillStub()               // no report: the heartbeat monitor finds out
 			for r.LastCrash() == nil { // recorded under the lock that drops the image
@@ -311,6 +306,36 @@ func TestHeldImageInvalidation(t *testing.T) {
 			r.snapshot(t, true)
 		})
 	}
+}
+
+// A restore leaves the app holding exactly the bytes it loaded: they
+// are the held image, served without a round trip until the next event,
+// whose reply replaces them.
+func TestRestoreHoldsImage(t *testing.T) {
+	r := newImageRig(t, func() controller.App { return &echoApp{} }, StubOptions{}, ProxyOptions{})
+	r.snapshot(t, true)
+	if err := r.HandleEvent(nil, pktInEvent(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	restored := binary.BigEndian.AppendUint64(nil, 77)
+	if err := r.Restore(restored); err != nil {
+		t.Fatal(err)
+	}
+	if held := r.heldImage(); !bytes.Equal(held, restored) {
+		t.Fatalf("held image after restore %x, want the restored %x", held, restored)
+	}
+	for i := 0; i < 2; i++ {
+		if got := r.snapshot(t, false); !bytes.Equal(got, restored) {
+			t.Fatalf("snapshot %d after restore = %x, want %x", i+1, got, restored)
+		}
+	}
+	if err := r.HandleEvent(nil, pktInEvent(2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if held := r.heldImage(); held == nil || bytes.Equal(held, restored) {
+		t.Fatalf("held image after the next event %x, want the event's reply", held)
+	}
+	r.snapshot(t, false)
 }
 
 // bigApp's image does not fit one datagram.

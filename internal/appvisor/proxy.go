@@ -158,9 +158,9 @@ type Proxy struct {
 	registered chan struct{}
 	lastCrash  *CrashReport
 	// The checkpoint rides the reply: Snapshot sets checkpointed, so the
-	// next event goes out as a dgEventImage, and image holds what
-	// its reply carried — the app's state until an event, Restore, Respawn
-	// or a crash could change it, which drops it. nil: none held.
+	// next event goes out as a dgEventImage, and image holds what its
+	// reply carried or Restore loaded — the app's state until an event,
+	// Respawn or a crash could change it, which drops it. nil: none held.
 	checkpointed bool
 	image        []byte
 
@@ -449,10 +449,19 @@ func (p *Proxy) Snapshot() ([]byte, error) {
 	return p.stateRPC("snapshot", &datagram{Type: dgSnapshotReq})
 }
 
-// Restore implements controller.Snapshotter by RPC to the stub.
+// Restore implements controller.Snapshotter by RPC to the stub. Once
+// the app has loaded it, state is the app's image and is held like an
+// event's (callers must not modify it), unless another RPC overtook the
+// restore: the checkpoints right after a recovery make no round trip.
 func (p *Proxy) Restore(state []byte) error {
 	p.dropImage()
-	_, err := p.stateRPC("restore", &datagram{Type: dgRestoreReq, Payload: state})
+	d := &datagram{Type: dgRestoreReq, Payload: state}
+	_, err := p.stateRPC("restore", d)
+	p.mu.Lock()
+	if err == nil && d.ID == p.nextID.Load() {
+		p.image = state
+	}
+	p.mu.Unlock()
 	return err
 }
 

@@ -3,7 +3,7 @@ package appvisor
 import (
 	"fmt"
 	"net"
-	"runtime/debug"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -234,7 +234,8 @@ func (s *Stub) contain(sp *trace.Span, fn func()) (crashed bool) {
 			crashed = true
 			sp.Attr("panic", fmt.Sprint(r))
 			sp.End()
-			_ = s.send(&datagram{Type: dgCrash, Payload: encodeCrash(fmt.Sprint(r), string(debug.Stack()))})
+			stack := make([]byte, 16<<10) // one walk, unlike debug.Stack's growing buffer
+			_ = s.send(&datagram{Type: dgCrash, Payload: encodeCrash(fmt.Sprint(r), string(stack[:runtime.Stack(stack, false)]))})
 			s.terminate()
 		}
 	}()

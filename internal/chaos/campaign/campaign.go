@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"legosdn/internal/chaos"
+	"legosdn/internal/flightrec"
 )
 
 // SyntheticCheck is a serializable invariant predicate over a run's
@@ -110,13 +111,13 @@ type Config struct {
 	// CorpusDir, when set, persists each reproducible minimized failure
 	// as a corpus entry file there (created if missing).
 	CorpusDir string
-	// AutopsyDir, when set, persists the autopsy reports attached to
-	// each failing run as JSON files under <dir>/<scenario-name>/.
+	// AutopsyDir, when set, appends the autopsy reports attached to
+	// each failing run to <dir>/<scenario-name>/autopsies.jsonl.
 	AutopsyDir string
 	// MaxAutopsyFailures bounds how many failing runs persist autopsies
 	// under AutopsyDir (0 = default 25, negative = unlimited). A
 	// hostile campaign can fail hundreds of runs; the first few dozen
-	// autopsy trees are triage gold, the rest are a disk-filling
+	// runs' reports are triage gold, the rest are a disk-filling
 	// liability.
 	MaxAutopsyFailures int
 	// Synthetic, when set, is applied to every run as an extra
@@ -461,23 +462,17 @@ func failingNames(rep *chaos.Report) []string {
 	return out
 }
 
-// persistAutopsies writes a failing run's attached autopsy reports
+// persistAutopsies appends a failing run's attached autopsy reports
 // (Crash-Pad recoveries plus the synthesized invariant-violation
-// autopsy) under dir/<scenario>/autopsy-N.json for triage.
+// autopsy) to dir/<scenario>/autopsies.jsonl for triage. The log's
+// store numbers copies of them, so ids keep increasing across the runs
+// that share a scenario.
 func persistAutopsies(dir, scenario string, rep *chaos.Report) {
-	if len(rep.Autopsies) == 0 {
-		return
-	}
-	sub := filepath.Join(dir, scenario)
-	if err := os.MkdirAll(sub, 0o755); err != nil {
-		return
-	}
-	for i, a := range rep.Autopsies {
-		b, err := json.MarshalIndent(a, "", "  ")
-		if err != nil {
-			continue
-		}
-		_ = os.WriteFile(filepath.Join(sub, fmt.Sprintf("autopsy-%d.json", i+1)), append(b, '\n'), 0o644)
+	st := flightrec.NewStore(filepath.Join(dir, scenario), 1)
+	defer st.Close()
+	for _, a := range rep.Autopsies {
+		c := *a
+		st.Add(&c)
 	}
 }
 

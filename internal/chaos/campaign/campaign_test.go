@@ -2,12 +2,16 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"legosdn/internal/chaos"
+	"legosdn/internal/flightrec"
 )
 
 // cheapSpec is a fast deterministic generator for tests: duplicated and
@@ -265,6 +269,34 @@ func TestRegenerateCommittedCorpus(t *testing.T) {
 		names = append(names, name)
 	}
 	t.Logf("regenerated %d corpus entries: %s", len(entries), strings.Join(names, ", "))
+}
+
+// Two failing runs of one scenario append to the scenario's one log:
+// every line parses and ids keep increasing, while the reports handed
+// in keep their own ids.
+func TestPersistAutopsiesAppendsToOneLog(t *testing.T) {
+	dir := t.TempDir()
+	rep := &chaos.Report{Autopsies: []*flightrec.Autopsy{
+		{ID: 1, App: "a", Trigger: "app-crash"},
+		{ID: 2, App: "chaos", Trigger: "chaos-invariant"},
+	}}
+	persistAutopsies(dir, "s", rep)
+	persistAutopsies(dir, "s", rep)
+	data, err := os.ReadFile(filepath.Join(dir, "s", "autopsies.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		var a flightrec.Autopsy
+		if err := json.Unmarshal([]byte(line), &a); err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		ids = append(ids, a.ID)
+	}
+	if !reflect.DeepEqual(ids, []int{1, 2, 3, 4}) || rep.Autopsies[1].ID != 2 {
+		t.Fatalf("log ids %v, report ids %d %d; want [1 2 3 4], 1 2", ids, rep.Autopsies[0].ID, rep.Autopsies[1].ID)
+	}
 }
 
 // Satellite: the per-failure autopsy persistence is bounded: the

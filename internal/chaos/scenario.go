@@ -68,7 +68,7 @@ type Scenario struct {
 	SkipShadowCheck bool
 	// AutopsyDir, when set, persists every autopsy the stack writes
 	// during the run (crash recoveries plus the synthesized
-	// invariant-violation autopsy on failure) as JSON files there.
+	// invariant-violation autopsy on failure) to its autopsies.jsonl.
 	AutopsyDir string
 	// AllowQuarantine drops the recovered/<app> invariant for scenarios
 	// hostile enough that Crash-Pad may legitimately exhaust its

@@ -128,9 +128,10 @@ type Config struct {
 	// default ring sizes, so the last moments before a crash are always
 	// available to autopsy reports (exposed as Stack.Flight).
 	Flight *flightrec.Recorder
-	// AutopsyDir persists autopsy reports as JSON files. Empty defaults
-	// to <Durable dir>/autopsies when Durable is set, else autopsies
-	// stay in-memory only (served by Stack.Autopsies.HTTPHandler).
+	// AutopsyDir persists autopsy reports, one JSON line each, to
+	// AutopsyDir/autopsies.jsonl. Empty defaults to <Durable
+	// dir>/autopsies when Durable is set, else autopsies stay
+	// in-memory only (served by Stack.Autopsies.HTTPHandler).
 	AutopsyDir string
 }
 
@@ -461,7 +462,8 @@ func (s *Stack) Snapshot(name string) error {
 	return nil
 }
 
-// Close shuts down the controller and every stub.
+// Close shuts down the controller and every stub, and closes the
+// autopsy log.
 func (s *Stack) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -478,6 +480,7 @@ func (s *Stack) Close() {
 	for _, p := range proxies {
 		p.Close()
 	}
+	_ = s.Autopsies.Close() // counted in its PersistErrors
 }
 
 // isolatedRunner is the AppVisor-only mode's runner: in-process panics

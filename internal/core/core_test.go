@@ -589,7 +589,7 @@ func TestStackFlightRecorderAlwaysOn(t *testing.T) {
 // TestRestartKeepsPredecessorsAutopsies: incarnation A recovers a
 // crashed app and then dies with a journaled transaction open;
 // incarnation B, on the same state directory, rolls the orphan back.
-// Both autopsy reports stay on disk.
+// Both autopsy reports stay in the log.
 func TestRestartKeepsPredecessorsAutopsies(t *testing.T) {
 	dir := t.TempDir()
 	n := netsim.Single(2, nil)
@@ -638,20 +638,22 @@ func TestRestartKeepsPredecessorsAutopsies(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	files, _ := filepath.Glob(filepath.Join(dir, "autopsies", "autopsy-*.json"))
+	data, err := os.ReadFile(filepath.Join(dir, "autopsies", "autopsies.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var triggers []string
-	for _, f := range files {
-		var a flightrec.Autopsy
-		data, err := os.ReadFile(f)
-		if err == nil {
-			err = json.Unmarshal(data, &a)
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if line == "" {
+			continue
 		}
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
+		var a flightrec.Autopsy
+		if err := json.Unmarshal([]byte(line), &a); err != nil || !strings.HasSuffix(line, "\n") {
+			t.Fatalf("autopsy log line %q: %v", line, err)
 		}
 		triggers = append(triggers, a.Trigger)
 	}
 	if want := []string{"app-crash", "durable-recovery"}; !slices.Equal(triggers, want) {
-		t.Fatalf("autopsy files %v hold triggers %v, want %v", files, triggers, want)
+		t.Fatalf("autopsy log holds triggers %v, want %v", triggers, want)
 	}
 }

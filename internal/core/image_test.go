@@ -129,6 +129,41 @@ func TestCheckpointsAreStateBeforeEvent(t *testing.T) {
 	}
 }
 
+// An ignored crash costs one state round trip, the restore: the
+// rebaseline and the next event's checkpoint both take the restored
+// image, which the proxy holds.
+func TestIgnoredCrashMakesOneStateRPC(t *testing.T) {
+	rec := &preImages{bySeq: make(map[uint64][]byte)}
+	stack := NewStack(Config{Mode: ModeLegoSDN})
+	defer stack.Close()
+	if err := stack.AddApp(rec.factory(6666)); err != nil {
+		t.Fatal(err)
+	}
+	var sends atomic.Int64 // event datagrams: one RPC each
+	stack.Proxy("learning-switch").SetWireFault(func(string, string, uint8) appvisor.WireVerdict {
+		sends.Add(1)
+		return appvisor.WireVerdict{}
+	})
+	net := netsim.Single(4, nil)
+	if err := stack.ConnectNetwork(net); err != nil {
+		t.Fatal(err)
+	}
+	stateRPCs := func() int64 {
+		rpcs := stack.Metrics.Snapshot().Histograms[`legosdn_appvisor_rpc_seconds{app="learning-switch"}`].Count
+		return int64(rpcs) - sends.Load()
+	}
+	driveEvents(t, stack, net, 8, 0, 0)
+	before := stateRPCs()
+	driveEvents(t, stack, net, 2, 2, 6666) // the second one crashes the app
+	driveEvents(t, stack, net, 1, 0, 0)
+	if got := stack.CrashPad.IgnoredEvents.Load(); got != 1 {
+		t.Fatalf("%d ignored events, want 1", got)
+	}
+	if got := stateRPCs() - before; got != 1 {
+		t.Fatalf("%d state round trips for one ignored crash, want 1 (the restore)", got)
+	}
+}
+
 // ModeIsolated runs none of the checkpoint work: no event asks for an
 // image and nothing snapshots the app. The same probe on full LegoSDN,
 // which checkpoints before every event, sees every event ask.

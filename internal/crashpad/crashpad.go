@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime"
 	"sync"
 	"time"
 
@@ -328,11 +329,7 @@ func (cp *CrashPad) recover(app controller.App, ctx controller.Context, ev contr
 	// The tail of the event history gives the developer a reproduction
 	// trace alongside the stack.
 	const ticketTrace = 8
-	hist := cp.history(name)
-	if len(hist) > ticketTrace {
-		hist = hist[len(hist)-ticketTrace:]
-	}
-	for _, hev := range hist {
+	for _, hev := range cp.history(name, ticketTrace) {
 		ticket.RecentEvents = append(ticket.RecentEvents, hev.String())
 	}
 	finish := func(outcome Outcome) {
@@ -731,6 +728,5 @@ func (cp *CrashPad) rollbackAtomic(tx *netlog.Txn) {
 // crash evidence.
 func stackTrace() []byte {
 	buf := make([]byte, 16<<10)
-	n := runtimeStack(buf, false)
-	return buf[:n]
+	return buf[:runtime.Stack(buf, false)]
 }

@@ -40,11 +40,13 @@ func (cp *CrashPad) noteHistory(name string, ev controller.Event) {
 	cp.histories[name] = h
 }
 
-// history returns a copy of the app's recorded event history.
-func (cp *CrashPad) history(name string) []controller.Event {
+// history returns a copy of the newest n events of the app's recorded
+// history.
+func (cp *CrashPad) history(name string, n int) []controller.Event {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	return append([]controller.Event(nil), cp.histories[name]...)
+	h := cp.histories[name]
+	return append([]controller.Event(nil), h[max(0, len(h)-n):]...)
 }
 
 // crashStreak bumps and reports the consecutive-crash counter.
@@ -72,7 +74,7 @@ func (cp *CrashPad) deepRecover(app controller.App, ctx controller.Context, name
 	if probe := cp.opts.ReplicaFactory(name); probe == nil {
 		return fmt.Errorf("no replica available for %q", name)
 	}
-	trace := cp.history(name)
+	trace := cp.history(name, defaultHistoryLimit)
 	if len(trace) == 0 {
 		return fmt.Errorf("no event history recorded")
 	}

@@ -180,7 +180,7 @@ func TestHistoryBounded(t *testing.T) {
 	for seq := uint64(1); seq <= defaultHistoryLimit+50; seq++ {
 		cp.noteHistory("a", controller.Event{Seq: seq})
 	}
-	h := cp.history("a")
+	h := cp.history("a", defaultHistoryLimit)
 	if len(h) != defaultHistoryLimit {
 		t.Fatalf("history len = %d", len(h))
 	}

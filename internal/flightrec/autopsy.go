@@ -10,7 +10,7 @@ import (
 // Autopsy is the assembled postmortem for one failure: what died, what
 // the stack decided, how long each recovery phase took, and the flight
 // records that witnessed it. It marshals to JSON for /debug/autopsy and
-// the on-disk store, and renders to human text for terminals.
+// the autopsy log, and renders to human text for terminals.
 type Autopsy struct {
 	ID             int      `json:"id"`
 	OpenedUnixNano int64    `json:"opened_unix_nano"`
@@ -27,7 +27,7 @@ type Autopsy struct {
 	Violations     []string `json:"violations,omitempty"`
 	Notes          []string `json:"notes,omitempty"`
 
-	// Timeline always holds all six recovery phases in canonical order.
+	// Timeline always holds all eight recovery phases in canonical order.
 	Timeline        []PhaseDuration `json:"timeline"`
 	RecoverySeconds float64         `json:"recovery_seconds"`
 

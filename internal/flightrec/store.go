@@ -1,13 +1,14 @@
 package flightrec
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -15,42 +16,80 @@ import (
 )
 
 // Store collects autopsies: a bounded in-memory window for
-// /debug/autopsy plus optional JSON persistence for postmortems. A nil
-// *Store no-ops, matching the Recorder convention.
+// /debug/autopsy plus an optional append-only log for postmortems,
+// <dir>/autopsies.jsonl, one compact JSON report per line. A nil *Store
+// no-ops, matching the Recorder convention.
 type Store struct {
 	mu        sync.Mutex
 	dir       string
 	keep      int
 	nextID    int
+	log       *os.File // opened O_APPEND by the first Add, closed by Close
 	autopsies []*Autopsy
 
-	// Persisted counts autopsy files written; PersistErrors counts
-	// failed writes (the autopsy stays available in memory either way).
+	// Persisted counts autopsies appended to the log; PersistErrors
+	// counts failed appends (the autopsy stays available in memory
+	// either way).
 	Persisted     metrics.Counter
 	PersistErrors metrics.Counter
 }
 
+const logName = "autopsies.jsonl"
+
 // NewStore creates a Store. dir == "" disables persistence; keep <= 0
-// defaults to 32 in-memory autopsies. Ids continue after the highest
-// autopsy file already in dir, so a restarted controller on the same
-// state directory adds to its predecessor's reports instead of
-// overwriting them.
+// defaults to 32 in-memory autopsies. Ids continue after the last
+// report already in dir's log, so a restarted controller on the same
+// state directory adds to its predecessor's reports.
 func NewStore(dir string, keep int) *Store {
 	if keep <= 0 {
 		keep = 32
 	}
 	s := &Store{dir: dir, keep: keep}
-	// A missing directory holds no reports yet; an unreadable one fails
-	// the first persist, which PersistErrors counts.
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		num, isReport := strings.CutPrefix(e.Name(), "autopsy-")
-		num, isJSON := strings.CutSuffix(num, ".json")
-		if id, err := strconv.Atoi(num); isReport && isJSON && err == nil && id > s.nextID {
-			s.nextID = id
-		}
+	if dir != "" {
+		s.nextID = lastID(filepath.Join(dir, logName))
 	}
 	return s
+}
+
+// lastID returns the id of the log's last complete line, reading back
+// from the end only as far as that line starts. A torn tail (a line a
+// crash stopped mid-write: no newline yet) is cut back to that line, so
+// the next append starts a line of its own. A missing log holds no
+// reports; an unwritable one fails the first append, which
+// PersistErrors counts.
+func lastID(path string) int {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return 0
+	}
+	defer f.Close()
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return 0
+	}
+	var tail []byte // the file from off to end
+	for off := end; off > 0; {
+		n := min(off, 32<<10)
+		off -= n
+		chunk := make([]byte, n, n+int64(len(tail)))
+		if _, err := f.ReadAt(chunk, off); err != nil {
+			return 0
+		}
+		tail = append(chunk, tail...)
+		nl := bytes.LastIndexByte(tail, '\n')
+		start := bytes.LastIndexByte(tail[:max(nl, 0)], '\n') + 1
+		if nl < 0 || start == 0 && off > 0 {
+			continue // the last complete line starts further back
+		}
+		if cut := off + int64(nl) + 1; cut < end {
+			_ = f.Truncate(cut)
+		}
+		var id int // json.Marshal writes it first: no need to parse the rest
+		_, _ = fmt.Fscanf(bytes.NewReader(tail[start:nl]), `{"id":%d`, &id)
+		return id
+	}
+	_ = f.Truncate(0) // no complete line: all of it is torn
+	return 0
 }
 
 // Instrument registers the store's counters into reg.
@@ -59,14 +98,14 @@ func (s *Store) Instrument(reg *metrics.Registry) {
 		return
 	}
 	reg.RegisterCounter("legosdn_autopsies_persisted_total",
-		"autopsy reports written to the autopsy directory", &s.Persisted)
+		"autopsy reports appended to the autopsy log", &s.Persisted)
 	reg.RegisterCounter("legosdn_autopsy_persist_errors_total",
 		"autopsy reports that failed to persist", &s.PersistErrors)
 }
 
 // Add assigns the autopsy an id, stamps its open time if unset, keeps
-// it in the bounded window, and persists it when a directory is
-// configured. Returns the assigned id (0 on a nil store).
+// it in the bounded window, and appends it to the log when a directory
+// is configured. Returns the assigned id (0 on a nil store).
 func (s *Store) Add(a *Autopsy) int {
 	if s == nil || a == nil {
 		return 0
@@ -75,6 +114,7 @@ func (s *Store) Add(a *Autopsy) int {
 		a.Timeline = (*Timeline)(nil).Phases()
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.nextID++
 	a.ID = s.nextID
 	if a.OpenedUnixNano == 0 {
@@ -84,11 +124,8 @@ func (s *Store) Add(a *Autopsy) int {
 	if len(s.autopsies) > s.keep {
 		s.autopsies = s.autopsies[len(s.autopsies)-s.keep:]
 	}
-	dir := s.dir
-	s.mu.Unlock()
-
-	if dir != "" {
-		if err := s.persist(dir, a); err != nil {
+	if s.dir != "" {
+		if err := s.persist(a); err != nil {
 			s.PersistErrors.Add(1)
 		} else {
 			s.Persisted.Add(1)
@@ -97,20 +134,36 @@ func (s *Store) Add(a *Autopsy) int {
 	return a.ID
 }
 
-func (s *Store) persist(dir string, a *Autopsy) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+// persist appends a as one line in one write(2), under s.mu so that ids
+// increase down the log; a crash can leave only the last line torn.
+func (s *Store) persist(a *Autopsy) error {
+	line, err := json.Marshal(a)
+	if err == nil && s.log == nil {
+		if err = os.MkdirAll(s.dir, 0o755); err == nil {
+			s.log, err = os.OpenFile(filepath.Join(s.dir, logName), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+		}
 	}
-	data, err := json.MarshalIndent(a, "", "  ")
+	if err == nil {
+		_, err = s.log.Write(append(line, '\n'))
+	}
+	return err
+}
+
+// Close closes the autopsy log; a later Add reopens it. A failed close
+// counts in PersistErrors too.
+func (s *Store) Close() (err error) {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.log != nil {
+		err, s.log = s.log.Close(), nil
+	}
 	if err != nil {
-		return err
+		s.PersistErrors.Add(1)
 	}
-	path := filepath.Join(dir, fmt.Sprintf("autopsy-%06d.json", a.ID))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return err
 }
 
 // All returns the retained autopsies, oldest first.
