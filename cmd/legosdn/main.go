@@ -44,8 +44,7 @@ func main() {
 	poison := flag.Int("poison", 6666, "TCP port whose traffic crashes the first app (0 disables)")
 	checkInv := flag.Bool("invariants", true, "run the invariant checkers after each event")
 	policyFile := flag.String("policy", "", "operator policy file (§3.3 policy language)")
-	statusAddr := flag.String("status", "", "serve the HTTP status API on this address (e.g. 127.0.0.1:8080)")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics on this address (e.g. :9090)")
+	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics, the status API and the debug endpoints on this address (e.g. :9090)")
 	traceFile := flag.String("trace", "", "record all OpenFlow control traffic to this file")
 	traceSample := flag.Float64("trace-sample", 0.01,
 		"fraction of injected events to trace end-to-end (0 disables, 1 traces all)")
@@ -138,22 +137,17 @@ func main() {
 		oftrace.Attach(stack.Controller, tw)
 		fmt.Printf("recording control traffic to %s\n", *traceFile)
 	}
-	if *statusAddr != "" {
-		go func() {
-			srv := &http.Server{Addr: *statusAddr, Handler: status.Handler(stack, n)}
-			fmt.Printf("status API on http://%s/status\n", *statusAddr)
-			if err := srv.ListenAndServe(); err != http.ErrServerClosed {
-				log.Printf("legosdn: status server: %v", err)
-			}
-		}()
-	}
 	if *metricsAddr != "" {
 		go func() {
 			mux := trace.NewDebugMux(tracer, stack.Metrics)
 			mux.Handle("/debug/autopsy", stack.Autopsies.HTTPHandler())
+			sh := status.Handler(stack, n)
+			for _, p := range []string{"/status", "/tickets", "/flows"} {
+				mux.Handle(p, sh)
+			}
 			srv := &http.Server{Addr: *metricsAddr, Handler: mux}
-			fmt.Printf("metrics on http://%s/metrics, traces on http://%s/debug/traces, autopsies on http://%s/debug/autopsy, pprof on http://%s/debug/pprof\n",
-				*metricsAddr, *metricsAddr, *metricsAddr, *metricsAddr)
+			fmt.Printf("metrics on http://%s/metrics, status on http://%s/status, traces on http://%s/debug/traces, autopsies on http://%s/debug/autopsy, pprof on http://%s/debug/pprof\n",
+				*metricsAddr, *metricsAddr, *metricsAddr, *metricsAddr, *metricsAddr)
 			if err := srv.ListenAndServe(); err != http.ErrServerClosed {
 				log.Printf("legosdn: metrics server: %v", err)
 			}

@@ -455,6 +455,51 @@ func TestStubContainsPostHandlerSnapshotPanic(t *testing.T) {
 	}, "snapshot bug")
 }
 
+// overlapApp's handler takes a while; its Snapshot and Restore count
+// the calls that land while a handler is still running.
+type overlapApp struct{ busy, overlaps atomic.Int32 }
+
+func (a *overlapApp) Name() string { return "overlap" }
+func (a *overlapApp) Subscriptions() []controller.EventKind {
+	return []controller.EventKind{controller.EventPacketIn}
+}
+func (a *overlapApp) HandleEvent(controller.Context, controller.Event) error {
+	a.busy.Add(1)
+	defer a.busy.Add(-1)
+	time.Sleep(20 * time.Millisecond)
+	return nil
+}
+func (a *overlapApp) Snapshot() ([]byte, error) { a.note(); return []byte{0}, nil }
+func (a *overlapApp) Restore([]byte) error      { a.note(); return nil }
+func (a *overlapApp) note() {
+	if a.busy.Load() != 0 {
+		a.overlaps.Add(1)
+	}
+}
+
+// A duplicated event runs a second time after the proxy has its ack. A
+// snapshot or restore sent meanwhile waits for that handler instead of
+// running beside it on another goroutine.
+func TestStubStateRequestsWaitForHandler(t *testing.T) {
+	app := &overlapApp{}
+	p, _ := newTestProxy(t, func() controller.App { return app }, ProxyOptions{})
+	p.SetWireFault(func(string, string, uint8) WireVerdict { return WireVerdict{Action: WireDup} })
+	for seq := uint64(1); seq <= 2; seq++ {
+		if err := p.HandleEvent(nil, pktInEvent(seq, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Restore([]byte{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := app.overlaps.Load(); n != 0 {
+		t.Fatalf("%d state calls ran beside a handler", n)
+	}
+}
+
 // One proxied round trip stays within a fixed allocation budget (it
 // measures 13 here, 15 on the parent commit).
 func TestRoundTripAllocs(t *testing.T) {

@@ -173,7 +173,7 @@ func (s *Stub) readLoop() {
 				_ = s.send(&datagram{Type: dgEventDone, ID: d.ID, Payload: statusPayload(err)})
 				continue
 			}
-			s.enqueue(stubWork{ev: ev, rpcID: d.ID, image: d.Type == dgEventImage})
+			s.enqueue(stubWork{ev: ev, rpcID: d.ID, reply: dgEventDone, image: d.Type == dgEventImage})
 		case dgResponse:
 			d.detach() // handed to a waiter, outlives buf
 			s.mu.Lock()
@@ -184,10 +184,10 @@ func (s *Stub) readLoop() {
 				w <- d
 			}
 		case dgSnapshotReq:
-			s.handleState(dgSnapshotReply, d.ID, controller.Snapshotter.Snapshot)
+			s.enqueue(stubWork{rpcID: d.ID, reply: dgSnapshotReply})
 		case dgRestoreReq:
-			d.detach() // the app's Restore may retain the state bytes
-			s.handleState(dgRestoreDone, d.ID, func(snap controller.Snapshotter) ([]byte, error) { return nil, snap.Restore(d.Payload) })
+			d.detach() // queued, and the app's Restore may retain the bytes
+			s.enqueue(stubWork{rpcID: d.ID, reply: dgRestoreDone, state: d.Payload})
 		case dgShutdown:
 			s.terminate()
 			return
@@ -195,20 +195,23 @@ func (s *Stub) readLoop() {
 	}
 }
 
-// stubWork is one event delivery, acknowledged by one dgEventDone under
-// the delivery's RPC id (so the same event can be redelivered during
-// replay under a fresh id).
+// stubWork is one call into the app (event, snapshot or restore),
+// answered by one reply datagram under the request's RPC id. All run on
+// the work goroutine in arrival order, so a state request never races a
+// handler still busy with an event a wire fault delayed or duplicated.
 type stubWork struct {
 	ev    controller.Event
 	rpcID uint64
-	image bool // dgEventImage: the ack carries the app's post-event image
+	reply uint8
+	image bool   // dgEventImage: the ack carries the app's post-event image
+	state []byte // dgRestoreReq: the image to restore
 }
 
 func (s *Stub) enqueue(w stubWork) {
 	select {
 	case s.events <- w:
 	default:
-		_ = s.send(&datagram{Type: dgEventDone, ID: w.rpcID,
+		_ = s.send(&datagram{Type: w.reply, ID: w.rpcID,
 			Payload: statusPayload(fmt.Errorf("appvisor: stub queue full"))})
 	}
 }
@@ -220,7 +223,14 @@ func (s *Stub) workLoop() {
 		case <-s.done:
 			return
 		case w := <-s.events:
-			s.handleWork(w)
+			switch w.reply {
+			case dgEventDone:
+				s.handleWork(w)
+			case dgSnapshotReply:
+				s.handleState(w, controller.Snapshotter.Snapshot)
+			default:
+				s.handleState(w, func(snap controller.Snapshotter) ([]byte, error) { return nil, snap.Restore(w.state) })
+			}
 		}
 	}
 }
@@ -279,9 +289,8 @@ func (s *Stub) snapshotter() (controller.Snapshotter, error) {
 }
 
 // handleState answers a snapshot or restore request: call runs the
-// app's Snapshot or Restore, contained, because the read goroutine this
-// is on is as much the app's failure domain as the work goroutine.
-func (s *Stub) handleState(reply uint8, id uint64, call func(controller.Snapshotter) ([]byte, error)) {
+// app's Snapshot or Restore, contained like a handler.
+func (s *Stub) handleState(w stubWork, call func(controller.Snapshotter) ([]byte, error)) {
 	var state []byte
 	snap, err := s.snapshotter()
 	if err == nil && s.contain(nil, func() { state, err = call(snap) }) {
@@ -291,7 +300,7 @@ func (s *Stub) handleState(reply uint8, id uint64, call func(controller.Snapshot
 	if err == nil {
 		payload = append(payload, state...)
 	}
-	_ = s.send(&datagram{Type: reply, ID: id, Payload: payload})
+	_ = s.send(&datagram{Type: w.reply, ID: w.rpcID, Payload: payload})
 }
 
 func (s *Stub) heartbeatLoop() {

@@ -1,3 +1,9 @@
+// Package campaign turns the chaos harness from a fixed scenario
+// library into a search: randomized fault-schedule campaigns over the
+// full injection-point catalog, automatic shrinking of failures to
+// 1-minimal reproducing fault sequences (the STS-style "minimal causal
+// sequence" substitution §5 of the paper proposes), and a versioned
+// regression corpus of failing seeds that replays on every test run.
 package campaign
 
 import (
@@ -14,6 +20,7 @@ import (
 
 	"legosdn/internal/chaos"
 	"legosdn/internal/flightrec"
+	"legosdn/internal/mcs"
 )
 
 // SyntheticCheck is a serializable invariant predicate over a run's
@@ -100,11 +107,9 @@ type Config struct {
 	// Runs is how many randomized scenarios to execute.
 	Runs int
 	// Shrink enables ddmin minimization of failing runs' fault
-	// schedules (deterministic scenarios only).
+	// schedules (deterministic scenarios only), at most maxShrinkReplays
+	// replays per failure.
 	Shrink bool
-	// MaxShrinkReplays bounds the predicate evaluations one failure's
-	// minimization may spend (0 = default 400).
-	MaxShrinkReplays int
 	// Parallel is the worker count (0 = serial). Results are collected
 	// by run index, so parallelism never changes the summary bytes.
 	Parallel int
@@ -359,6 +364,10 @@ func runOne(cfg *Config, gen func(uint64) ScenarioSpec, i int, mu *sync.Mutex, b
 	return rec
 }
 
+// maxShrinkReplays bounds the pinned replays one failure's shrink may
+// spend, the reproduction check included.
+const maxShrinkReplays = 400
+
 // shrinkFailure minimizes one failing run's fault schedule via pinned
 // replays. The predicate re-runs the scenario under a pinned schedule
 // carrying only the kept atoms and asks whether the same invariants
@@ -370,38 +379,20 @@ func shrinkFailure(cfg *Config, spec ScenarioSpec, origFailing []string, atoms [
 		return sh
 	}
 
-	replays := 0
-	failsWith := func(keep []int) bool {
-		replays++
-		kept := make([]chaos.Atom, len(keep))
-		for j, idx := range keep {
-			kept[j] = atoms[idx]
-		}
-		rep := replayPinned(spec, kept, cfg.Synthetic)
-		return failsSuperset(rep, origFailing)
+	failsWith := func(kept []chaos.Atom) bool {
+		return failsSuperset(replayPinned(spec, kept, cfg.Synthetic), origFailing)
 	}
-
 	// The recorded schedule must reproduce the failure before ddmin can
 	// trust its replays; a failure the full pin set cannot reproduce is
 	// flaky and recorded as such.
-	all := make([]int, len(atoms))
-	for j := range all {
-		all[j] = j
-	}
-	if !failsWith(all) {
-		sh.Replays = replays
+	minAtoms, stats := mcs.Minimize(atoms, failsWith, maxShrinkReplays)
+	sh.Replays = stats.Probes
+	if !stats.Reproduced {
 		sh.Skipped = "failure did not reproduce under pinned replay"
 		return sh
 	}
 	sh.Reproducible = true
-
-	budget := cfg.MaxShrinkReplays
-	if budget <= 0 {
-		budget = 400
-	}
-	keep, stats := Minimize(len(atoms), failsWith, budget)
-	sh.Replays = replays
-	sh.MinAtoms = len(keep)
+	sh.MinAtoms = len(minAtoms)
 	sh.Minimal = stats.Minimal
 	if sh.OriginalAtoms > 0 {
 		sh.Ratio = float64(sh.MinAtoms) / float64(sh.OriginalAtoms)
@@ -410,10 +401,6 @@ func shrinkFailure(cfg *Config, spec ScenarioSpec, origFailing []string, atoms [
 		spec.Name, sh.OriginalAtoms, sh.MinAtoms, sh.Replays, sh.Minimal)
 
 	if cfg.CorpusDir != "" {
-		minAtoms := make([]chaos.Atom, len(keep))
-		for j, idx := range keep {
-			minAtoms[j] = atoms[idx]
-		}
 		entry, err := BuildEntry(cfg.Seed, spec, cfg.Synthetic, origFailing, len(atoms), minAtoms, sh.Replays)
 		if err == nil {
 			mu.Lock()

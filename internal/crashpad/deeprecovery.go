@@ -81,13 +81,13 @@ func (cp *CrashPad) deepRecover(app controller.App, ctx controller.Context, name
 
 	// 1. Minimize: which events actually induce the crash?
 	fails := mcs.ReplayFails(func() controller.App { return cp.opts.ReplicaFactory(name) }, ctx)
-	minimal, stats := mcs.Minimize(trace, fails)
+	minimal, stats := mcs.Minimize(trace, fails, 0)
 	if len(minimal) == 0 {
 		return fmt.Errorf("failure did not reproduce on a fresh replica (non-deterministic?)")
 	}
 	ticket.Notes = append(ticket.Notes, fmt.Sprintf(
 		"deep recovery: minimized %d-event history to %d inducing event(s) in %d probes",
-		stats.OriginalLen, stats.MinimalLen, stats.Probes))
+		len(trace), len(minimal), stats.Probes))
 
 	// 2. Roll the app back to before the first inducing event.
 	inducing := make(map[uint64]bool, len(minimal))

@@ -111,6 +111,59 @@ func TestDeepRecoveryExcisesInducingEvent(t *testing.T) {
 	}
 }
 
+// chattyApp is a corruptibleApp that installs one flow per event it
+// is handed, tagged with its instance id in the cookie.
+type chattyApp struct {
+	corruptibleApp
+	id uint64
+}
+
+func (a *chattyApp) HandleEvent(ctx controller.Context, ev controller.Event) error {
+	_ = ctx.SendFlowMod(1, &openflow.FlowMod{Cookie: a.id})
+	return a.corruptibleApp.HandleEvent(ctx, ev)
+}
+
+// Minimization probes run throwaway replicas against the dispatch
+// context; only the live app's excised replay may reach the switches.
+func TestDeepRecoveryProbesStayOffTheNetwork(t *testing.T) {
+	app := &chattyApp{}
+	replicas := uint64(0)
+	cp := New(Options{
+		CheckpointEvery: 1,
+		ReplicaFactory: func(string) controller.App {
+			replicas++
+			return &chattyApp{id: replicas}
+		},
+		DeepRecoveryThreshold: 3,
+	})
+	ctx := &recCtx{}
+	for seq := uint64(1); seq <= 6; seq++ {
+		port := uint16(1)
+		if seq == 3 {
+			port = 66 // the silent poison
+		}
+		if f := cp.RunEvent(app, ctx, pktIn(seq, port)); f != nil {
+			t.Fatalf("event %d: %v", seq, f)
+		}
+	}
+	if cp.DeepRecoveries.Load() != 1 || replicas < 2 {
+		t.Fatalf("deep recoveries = %d over %d replicas", cp.DeepRecoveries.Load(), replicas)
+	}
+	live, probe := 0, 0
+	for _, m := range ctx.sent {
+		if fm, ok := m.(*openflow.FlowMod); ok {
+			if fm.Cookie == 0 {
+				live++
+			} else {
+				probe++
+			}
+		}
+	}
+	if probe != 0 {
+		t.Fatalf("%d of %d FlowMods reaching the network came from minimization probes", probe, live+probe)
+	}
+}
+
 func TestDeepRecoveryUnavailableWithoutFactory(t *testing.T) {
 	app := &corruptibleApp{}
 	cp := New(Options{CheckpointEvery: 1, DeepRecoveryThreshold: 2})

@@ -235,7 +235,7 @@ func ClaimMCS(traceLen int) Table {
 		return &pairBugApp{a: aSeq, b: bSeq}
 	}
 	fails := mcs.ReplayFails(newApp, &captureCtx{})
-	minimal, stats := mcs.Minimize(trace, fails)
+	minimal, stats := mcs.Minimize(trace, fails, 0)
 
 	store := checkpoint.NewStore(0)
 	for seq := uint64(0); seq <= uint64(traceLen); seq += 8 {
@@ -246,7 +246,7 @@ func ClaimMCS(traceLen int) Table {
 	if cpPick != nil {
 		pick = fmt.Sprint(cpPick.Seq)
 	}
-	t.AddRow(fmt.Sprint(stats.OriginalLen), fmt.Sprint(stats.MinimalLen),
+	t.AddRow(fmt.Sprint(len(trace)), fmt.Sprint(len(minimal)),
 		fmt.Sprint(stats.Probes), fmt.Sprint(stats.CacheHits), pick)
 	return t
 }

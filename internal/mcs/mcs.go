@@ -1,157 +1,162 @@
 // Package mcs finds Minimal Causal Sequences: the smallest subsequence
-// of an event trace that still triggers an SDN-App failure. It plays
-// the role STS plays in §5 of the LegoSDN paper — when a failure is
-// induced by an accumulation of events rather than the last one,
-// Crash-Pad minimizes the recorded trace against a fresh app replica
-// and rolls back to the checkpoint preceding the first inducing event.
+// of a failing input that still fails. It plays the role STS plays in
+// §5 of the LegoSDN paper. Crash-Pad minimizes a recorded event trace
+// against fresh app replicas when a failure is induced by an
+// accumulation of events rather than the last one, and rolls back to
+// the checkpoint preceding the first inducing event; chaos campaigns
+// shrink a failing run's fault schedule to the fault atoms it needs.
 //
 // The minimizer is the classic ddmin delta-debugging algorithm
-// (Zeller's "Simplifying and Isolating Failure-Inducing Input"),
-// specialized to event subsequences, with memoization of tested
-// subsets. It assumes the failure predicate is deterministic, which is
-// the paper's stated assumption for SDN-App bugs.
+// (Zeller-Hildebrandt, "Simplifying and Isolating Failure-Inducing
+// Input") over subsequences, with memoization of tested subsets. It
+// assumes the failure predicate is deterministic, which is the paper's
+// stated assumption for SDN-App bugs.
 package mcs
 
 import (
-	"fmt"
-	"runtime/debug"
-	"strings"
+	"strconv"
 
 	"legosdn/internal/checkpoint"
 	"legosdn/internal/controller"
+	"legosdn/internal/openflow"
 )
-
-// FailFunc reports whether replaying exactly this event sequence (from
-// a fresh app instance) reproduces the failure. It must be
-// deterministic.
-type FailFunc func(events []controller.Event) bool
 
 // Stats describes one minimization run.
 type Stats struct {
-	OriginalLen int
-	MinimalLen  int
-	Probes      int // predicate evaluations
-	CacheHits   int
+	// Probes counts predicate evaluations, the reproduction check on the
+	// whole input included; cache hits are free and not counted.
+	Probes    int
+	CacheHits int
+	// Reproduced is false when the whole input did not fail; nothing was
+	// minimized then.
+	Reproduced bool
+	// Minimal is true when the result is provably 1-minimal: removing
+	// any single remaining item makes the predicate pass. It is false
+	// when the input did not reproduce or maxProbes stopped the search.
+	Minimal bool
 }
 
-// Minimize returns a 1-minimal subsequence of trace that still fails:
-// removing any single event from the result makes the failure vanish.
-// The input trace must itself fail; if it does not, Minimize returns
-// nil.
-func Minimize(trace []controller.Event, fails FailFunc) ([]controller.Event, Stats) {
-	st := Stats{OriginalLen: len(trace)}
+// Minimize returns a 1-minimal subsequence of items that still fails:
+// removing any single item from the result makes the failure vanish.
+// fails receives subsequences in their original order (so
+// order-dependent failures minimize correctly) and must be
+// deterministic: every result is cached by the kept positions and never
+// re-evaluated.
+//
+// The whole input is probed first; if it does not fail, Minimize
+// returns nil with Reproduced false. If the empty subsequence fails,
+// the failure needs no items and the result is empty. maxProbes <= 0
+// means unbounded; when the budget stops the search early, the
+// smallest still-failing subsequence found so far is returned with
+// Minimal false.
+func Minimize[T any](items []T, fails func([]T) bool, maxProbes int) ([]T, Stats) {
+	var st Stats
 	cache := make(map[string]bool)
-	probe := func(events []controller.Event) bool {
-		key := subsetKey(events)
-		if v, ok := cache[key]; ok {
+	budgetHit := false
+	pick := func(keep []int) []T {
+		sub := make([]T, len(keep))
+		for j, p := range keep {
+			sub[j] = items[p]
+		}
+		return sub
+	}
+	var key []byte
+	probe := func(keep []int) bool {
+		key = key[:0]
+		for _, p := range keep {
+			key = strconv.AppendInt(key, int64(p), 10)
+			key = append(key, ',')
+		}
+		if v, ok := cache[string(key)]; ok {
 			st.CacheHits++
 			return v
 		}
+		if maxProbes > 0 && st.Probes >= maxProbes {
+			budgetHit = true
+			return false
+		}
 		st.Probes++
-		v := fails(events)
-		cache[key] = v
+		v := fails(pick(keep))
+		cache[string(key)] = v
 		return v
 	}
-	if len(trace) == 0 || !probe(trace) {
+
+	cur := make([]int, len(items))
+	for i := range cur {
+		cur[i] = i
+	}
+	if !probe(cur) {
+		return nil, st
+	}
+	st.Reproduced = true
+	// Degenerate fast path: a failure that needs no items at all (a
+	// chaos failure independent of the fault schedule) is worth knowing
+	// early and cheaply.
+	if probe(nil) {
+		st.Minimal = true
 		return nil, st
 	}
 
-	cur := append([]controller.Event(nil), trace...)
-	n := 2
-	for len(cur) >= 2 {
-		chunks := split(cur, n)
+	gran := 2
+	for len(cur) >= 2 && !budgetHit {
+		k := min(gran, len(cur))
 		reduced := false
-
-		// Try each chunk alone.
-		for _, c := range chunks {
-			if probe(c) {
-				cur = c
-				n = 2
-				reduced = true
+		// Try each chunk alone, then each complement.
+		for i := 0; i < k && !reduced; i++ {
+			if c := cur[i*len(cur)/k : (i+1)*len(cur)/k]; probe(c) {
+				cur, gran, reduced = c, 2, true
+			}
+		}
+		for i := 0; i < k && !reduced; i++ {
+			lo, hi := i*len(cur)/k, (i+1)*len(cur)/k
+			if comp := append(cur[:lo:lo], cur[hi:]...); probe(comp) {
+				cur, gran, reduced = comp, max(gran-1, 2), true
+			}
+		}
+		if !reduced {
+			if gran >= len(cur) {
+				// Every single-item removal passed: 1-minimal.
+				st.Minimal = !budgetHit
 				break
 			}
-		}
-		if !reduced {
-			// Try each complement.
-			for i := range chunks {
-				comp := complement(chunks, i)
-				if probe(comp) {
-					cur = comp
-					n = max(n-1, 2)
-					reduced = true
-					break
-				}
-			}
-		}
-		if !reduced {
-			if n >= len(cur) {
-				break // 1-minimal
-			}
-			n = min(2*n, len(cur))
+			gran = min(2*gran, len(cur))
 		}
 	}
-	st.MinimalLen = len(cur)
-	return cur, st
-}
-
-func split(events []controller.Event, n int) [][]controller.Event {
-	out := make([][]controller.Event, 0, n)
-	size := len(events) / n
-	rem := len(events) % n
-	start := 0
-	for i := 0; i < n; i++ {
-		end := start + size
-		if i < rem {
-			end++
-		}
-		if end > start {
-			out = append(out, events[start:end])
-		}
-		start = end
+	if len(cur) <= 1 && !budgetHit {
+		st.Minimal = true
 	}
-	return out
+	return pick(cur), st
 }
 
-func complement(chunks [][]controller.Event, skip int) []controller.Event {
-	var out []controller.Event
-	for i, c := range chunks {
-		if i != skip {
-			out = append(out, c...)
-		}
-	}
-	return out
-}
-
-// subsetKey identifies a subsequence by its event sequence numbers.
-func subsetKey(events []controller.Event) string {
-	var sb strings.Builder
-	for _, e := range events {
-		fmt.Fprintf(&sb, "%d,", e.Seq)
-	}
-	return sb.String()
-}
-
-// ReplayFails builds a deterministic failure predicate: instantiate a
-// fresh app via newApp, feed it the candidate events against ctx (which
-// may be a no-op recorder), and report whether it panics.
-func ReplayFails(newApp func() controller.App, ctx controller.Context) FailFunc {
-	return func(events []controller.Event) bool {
+// ReplayFails builds a deterministic failure predicate over event
+// sequences: instantiate a fresh app via newApp, feed it the candidate
+// events, and report whether it panics. The replica reads ctx (which
+// may be a no-op recorder) for switches, ports, topology and stats, but
+// its writes are dropped: a probe never reaches the network.
+func ReplayFails(newApp func() controller.App, ctx controller.Context) func([]controller.Event) bool {
+	dry := dryContext{ctx}
+	return func(events []controller.Event) (crashed bool) {
 		app := newApp()
-		crashed := false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					crashed = true
-					_ = debug.Stack()
-				}
-			}()
-			for _, ev := range events {
-				_ = app.HandleEvent(ctx, ev)
+		defer func() {
+			if recover() != nil {
+				crashed = true
 			}
 		}()
-		return crashed
+		for _, ev := range events {
+			_ = app.HandleEvent(dry, ev)
+		}
+		return false
 	}
 }
+
+// dryContext forwards reads to the wrapped context and drops every
+// message a minimization probe would send.
+type dryContext struct{ controller.Context }
+
+func (dryContext) SendMessage(uint64, openflow.Message) error      { return nil }
+func (dryContext) SendFlowMod(uint64, *openflow.FlowMod) error     { return nil }
+func (dryContext) SendPacketOut(uint64, *openflow.PacketOut) error { return nil }
+func (dryContext) Barrier(uint64) error                            { return nil }
 
 // PickCheckpoint chooses the checkpoint Crash-Pad should roll back to
 // once the minimal sequence is known: the newest image strictly older
@@ -166,18 +171,4 @@ func PickCheckpoint(store *checkpoint.Store, app string, minimal []controller.Ev
 		return nil
 	}
 	return store.Before(app, first)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

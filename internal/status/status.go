@@ -1,7 +1,7 @@
 // Package status exposes a running LegoSDN stack to operators over
 // HTTP: a JSON summary of controller, app and recovery state, rendered
 // problem tickets, and per-switch flow tables. cmd/legosdn serves it
-// with -status; tests drive it through httptest.
+// on its -metrics-addr listener; tests drive it through httptest.
 package status
 
 import (
