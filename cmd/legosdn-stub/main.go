@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -46,12 +45,7 @@ func main() {
 	// wire header carries a trace context.
 	tracer := trace.New(trace.Options{SampleRate: 1})
 	if *debugAddr != "" {
-		go func() {
-			srv := &http.Server{Addr: *debugAddr, Handler: trace.NewDebugMux(tracer, nil)}
-			if err := srv.ListenAndServe(); err != http.ErrServerClosed {
-				log.Printf("legosdn-stub: debug server: %v", err)
-			}
-		}()
+		go trace.Serve(*debugAddr, trace.NewDebugMux(tracer, nil), "legosdn-stub")
 	}
 	stub, err := appvisor.StartStub(app, *proxyAddr, appvisor.StubOptions{
 		HeartbeatInterval: *heartbeat,

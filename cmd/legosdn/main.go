@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -138,20 +137,15 @@ func main() {
 		fmt.Printf("recording control traffic to %s\n", *traceFile)
 	}
 	if *metricsAddr != "" {
-		go func() {
-			mux := trace.NewDebugMux(tracer, stack.Metrics)
-			mux.Handle("/debug/autopsy", stack.Autopsies.HTTPHandler())
-			sh := status.Handler(stack, n)
-			for _, p := range []string{"/status", "/tickets", "/flows"} {
-				mux.Handle(p, sh)
-			}
-			srv := &http.Server{Addr: *metricsAddr, Handler: mux}
-			fmt.Printf("metrics on http://%s/metrics, status on http://%s/status, traces on http://%s/debug/traces, autopsies on http://%s/debug/autopsy, pprof on http://%s/debug/pprof\n",
-				*metricsAddr, *metricsAddr, *metricsAddr, *metricsAddr, *metricsAddr)
-			if err := srv.ListenAndServe(); err != http.ErrServerClosed {
-				log.Printf("legosdn: metrics server: %v", err)
-			}
-		}()
+		mux := trace.NewDebugMux(tracer, stack.Metrics)
+		mux.Handle("/debug/autopsy", stack.Autopsies.HTTPHandler())
+		sh := status.Handler(stack, n)
+		for _, p := range []string{"/status", "/tickets", "/flows"} {
+			mux.Handle(p, sh)
+		}
+		fmt.Printf("metrics on http://%s/metrics, status on http://%s/status, traces on http://%s/debug/traces, autopsies on http://%s/debug/autopsy, pprof on http://%s/debug/pprof\n",
+			*metricsAddr, *metricsAddr, *metricsAddr, *metricsAddr, *metricsAddr)
+		go trace.Serve(*metricsAddr, mux, "legosdn")
 	}
 
 	names := strings.Split(*appList, ",")
@@ -165,7 +159,6 @@ func main() {
 			fmt.Printf("app %q hosted (%s) with injected bug: crashes on TCP dport %d\n", name, m, p)
 			continue
 		}
-		name := name
 		if err := stack.AddApp(func() controller.App { return mustApp(name) }); err != nil {
 			log.Fatalf("legosdn: %v", err)
 		}
@@ -295,7 +288,6 @@ func mustApp(name string) controller.App {
 	app, err := apps.New(name)
 	if err != nil {
 		log.Fatalf("legosdn: %v", err)
-		os.Exit(1)
 	}
 	return app
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"time"
 
@@ -13,6 +12,7 @@ import (
 	"legosdn/internal/netsim"
 	"legosdn/internal/openflow"
 	"legosdn/internal/replica"
+	"legosdn/internal/trace"
 	"legosdn/internal/workload"
 )
 
@@ -24,9 +24,9 @@ import (
 // replicated journal, takes over the switches, and traffic keeps
 // flowing.
 //
-// metricsAddr, when set, serves the cluster's own instruments (elections,
-// failovers, replication lag, quorum waits) at /metrics; each stack
-// incarnation keeps its private registry.
+// metricsAddr, when set, serves the debug mux over the cluster's own
+// instruments (elections, failovers, replication lag, quorum waits);
+// each stack incarnation keeps its private registry.
 func runReplicated(replicas int, n *netsim.Network, appNames []string, flows, checkpointDelta int, stateDir, topo, metricsAddr string) {
 	if stateDir == "" {
 		dir, err := os.MkdirTemp("", "legosdn-replicas-")
@@ -39,20 +39,13 @@ func runReplicated(replicas int, n *netsim.Network, appNames []string, flows, ch
 
 	factories := make([]func() controller.App, 0, len(appNames))
 	for _, name := range appNames {
-		name := name
 		factories = append(factories, func() controller.App { return mustApp(name) })
 	}
 
 	reg := metrics.NewRegistry()
 	if metricsAddr != "" {
-		go func() {
-			mux := http.NewServeMux()
-			mux.Handle("/metrics", reg.Handler())
-			fmt.Printf("cluster metrics on http://%s/metrics\n", metricsAddr)
-			if err := http.ListenAndServe(metricsAddr, mux); err != http.ErrServerClosed {
-				log.Printf("legosdn: metrics server: %v", err)
-			}
-		}()
+		fmt.Printf("cluster metrics on http://%s/metrics, pprof on http://%s/debug/pprof\n", metricsAddr, metricsAddr)
+		go trace.Serve(metricsAddr, trace.NewDebugMux(nil, reg), "legosdn")
 	}
 	cluster := replica.New(replica.Options{
 		Dir:             stateDir,

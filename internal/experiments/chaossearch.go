@@ -16,8 +16,8 @@ import (
 // schedule was noise.
 func ClaimChaosSearch(quick bool) Table {
 	t := Table{
-		ID:    "S1",
-		Title: "Chaos search: fault-schedule minimization to 1-minimal reproducers (§5)",
+		ID:      "S1",
+		Title:   "Chaos search: fault-schedule minimization to 1-minimal reproducers (§5)",
 		Columns: []string{"scenario", "fired atoms", "min atoms", "ratio", "replays", "1-minimal"},
 		Notes: []string{
 			"broken invariant: synthetic fired-at-least on appvisor/dup (test hook, not a real bug)",

@@ -37,7 +37,6 @@ func ClaimBugCorpus(corpusSize int, seed int64) Table {
 	for _, mode := range []core.Mode{core.ModeMonolithic, core.ModeLegoSDN} {
 		var crashes, appDown, recovered, rolledBack, silent int
 		for i, bug := range bugs {
-			bug := bug
 			n := netsim.Single(2, nil)
 			suite := invariant.NewSuite(n)
 			cfg := core.Config{Mode: mode}

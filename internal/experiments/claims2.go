@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"legosdn/internal/checkpoint"
@@ -188,32 +189,18 @@ func ClaimNVersion(events int) Table {
 	for _, ev := range trace {
 		_ = voter.HandleEvent(ctx, ev)
 	}
-	// A forwarded wrong output would be the byzantine 999-priority rule.
+	// A forwarded wrong output would be the byzantine 999-priority rule:
+	// 999 = 0x03e7 at the flow-mod priority offset of a message's
+	// encoded signature (a textual probe is enough for the harness).
 	wrong := 0
 	for _, m := range ctx.msgs {
-		if containsBadRule(m) {
+		if strings.Contains(m, "03e7") {
 			wrong++
 		}
 	}
 	t.AddRow("3", "1", fmt.Sprint(events),
 		fmt.Sprint(voter.Disagreements), fmt.Sprint(voter.Masked), fmt.Sprint(wrong))
 	return t
-}
-
-// containsBadRule detects the injected byzantine rule in an encoded
-// message signature (priority 999 = 0x03e7 at the flow-mod priority
-// offset; cheap textual probe is fine for the harness).
-func containsBadRule(sig string) bool {
-	return len(sig) > 0 && stringsContains(sig, "03e7")
-}
-
-func stringsContains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // ClaimMCS exercises §5's multi-event failure handling: a crash induced

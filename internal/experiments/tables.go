@@ -88,7 +88,6 @@ func Table2AppSurvey() Table {
 		"spanning-tree":   "topology/STP module (FloodLight core)",
 	}
 	for _, name := range apps.Names() {
-		name := name
 		stack := core.NewStack(core.Config{Mode: core.ModeLegoSDN})
 		n := netsim.Single(4, nil)
 		stack.AddApp(func() controller.App { return newRegistryApp(name) })

@@ -36,15 +36,15 @@ func (t *Table) LookupLinear(p openflow.PacketFields) *Entry {
 
 func randPacketSmall(r *rand.Rand) openflow.PacketFields {
 	return openflow.PacketFields{
-		InPort: uint16(r.Intn(4)),
-		DlSrc:  openflow.EthAddr{0, 0, 0, 0, 0, byte(r.Intn(4))},
-		DlDst:  openflow.EthAddr{0, 0, 0, 0, 0, byte(r.Intn(4))},
-		DlType: 0x0800,
+		InPort:  uint16(r.Intn(4)),
+		DlSrc:   openflow.EthAddr{0, 0, 0, 0, 0, byte(r.Intn(4))},
+		DlDst:   openflow.EthAddr{0, 0, 0, 0, 0, byte(r.Intn(4))},
+		DlType:  0x0800,
 		NwProto: uint8(r.Intn(2)*11 + 6), // 6 or 17
-		NwSrc:  0x0a000000 | uint32(r.Intn(4)),
-		NwDst:  0x0a000100 | uint32(r.Intn(4)),
-		TpSrc:  uint16(r.Intn(3)),
-		TpDst:  uint16(r.Intn(3)),
+		NwSrc:   0x0a000000 | uint32(r.Intn(4)),
+		NwDst:   0x0a000100 | uint32(r.Intn(4)),
+		TpSrc:   uint16(r.Intn(3)),
+		TpDst:   uint16(r.Intn(3)),
 	}
 }
 

@@ -225,13 +225,6 @@ func (s *Switch) Detach() {
 	}
 }
 
-// SlaveCount reports the number of attached standby connections.
-func (s *Switch) SlaveCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.slaves)
-}
-
 func (s *Switch) currentConn() *openflow.Conn {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"os"
@@ -19,10 +20,13 @@ import (
 // expects, so promotion is just "close the shadow handles, OpenState
 // the directory".
 //
-// Acks are sent on receipt, not on apply: the leader's quorum wait
-// certifies that a follower *holds* the record, and a promoted follower
-// drains its apply queue (Drain) before serving, so nothing acked can
-// be lost short of the follower also dying — the f=1 failure budget a
+// One ack answers a burst: once the read buffer has drained what the
+// shipper wrote, the applier acks the highest NetLog position received.
+// Checkpoint frames are not acked; no wait depends on them. Acks are
+// sent on receipt, not on apply: the leader's quorum wait certifies
+// that a follower *holds* the record, and a promoted follower drains
+// its apply queue (Drain) before serving, so nothing acked can be lost
+// short of the follower also dying — the f=1 failure budget a
 // 3-replica deployment tolerates. Apply is idempotent: positions at or
 // below the last applied one are counted as duplicates and skipped, so
 // duplicate segment delivery (a shipper retry after partial failover)
@@ -92,12 +96,21 @@ func (a *Applier) streamDir(id byte) string {
 	return filepath.Join(a.dir, streamName(id))
 }
 
-// recvLoop reads frames, enqueues them for apply, and acks immediately.
+// recvBuffer sizes the read buffer: a pass up to this size is read
+// with one call and answered with one ack.
+const recvBuffer = 64 << 10
+
+// recvLoop reads frames and enqueues them for apply. Once the read
+// buffer runs dry with NetLog frames unacked, it acks the highest
+// NetLog position received.
 func (a *Applier) recvLoop() {
 	defer a.wg.Done()
 	defer a.streamEnded()
+	r := bufio.NewReaderSize(a.conn, recvBuffer)
+	var ack []byte
+	unacked := false
 	for {
-		f, err := readFrame(a.conn)
+		f, err := readFrame(r)
 		if err != nil {
 			return
 		}
@@ -107,12 +120,19 @@ func (a *Applier) recvLoop() {
 		if f.Pos > a.recvd[f.Stream] || f.Kind == frameReset {
 			a.recvd[f.Stream] = f.Pos
 		}
+		held := a.recvd[streamNetlog]
 		a.cond.Broadcast()
 		a.mu.Unlock()
+		unacked = unacked || f.Stream == streamNetlog
+		if !unacked || r.Buffered() > 0 {
+			continue
+		}
 		// Ack on receipt: the recvLoop is this connection's only writer.
-		if err := writeFrame(a.conn, frame{Kind: frameAck, Stream: f.Stream, Pos: f.Pos}); err != nil {
+		ack = appendFrame(ack[:0], frame{Kind: frameAck, Stream: streamNetlog, Pos: held})
+		if _, err := a.conn.Write(ack); err != nil {
 			return
 		}
+		unacked = false
 	}
 }
 
@@ -238,18 +258,25 @@ func (a *Applier) applyRecords(run []frame) error {
 }
 
 // Drain blocks until every frame received so far has been applied (or
-// the timeout passes). Promotion calls this in the catch-up phase.
+// the timeout passes). Promotion calls this in the catch-up phase. It
+// sleeps on the apply loop's broadcast, not a poll tick; a timer
+// broadcasts the deadline.
 func (a *Applier) Drain(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	expired := false
+	t := time.AfterFunc(timeout, func() {
+		a.mu.Lock()
+		expired = true
+		a.cond.Broadcast()
+		a.mu.Unlock()
+	})
+	defer t.Stop()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for a.pending > 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("replica: %d frame(s) still unapplied after %v", a.pending, timeout)
-		}
-		a.mu.Unlock()
-		time.Sleep(time.Millisecond)
-		a.mu.Lock()
+	for a.pending > 0 && !expired {
+		a.cond.Wait()
+	}
+	if a.pending > 0 {
+		return fmt.Errorf("replica: %d frame(s) still unapplied after %v", a.pending, timeout)
 	}
 	return a.failure
 }
@@ -276,18 +303,6 @@ func (a *Applier) Ended() bool {
 	defer a.mu.Unlock()
 	return a.ended
 }
-
-// AppliedPos reports the highest position applied on a stream.
-func (a *Applier) AppliedPos(stream byte) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.last[stream]
-}
-
-// Dups counts duplicate deliveries skipped; Resets the generation wipes
-// performed.
-func (a *Applier) Dups() uint64   { return a.dups.Load() }
-func (a *Applier) Resets() uint64 { return a.resets.Load() }
 
 // Close tears the applier down: the connection closes, both loops
 // drain and exit, and the shadow WALs are synced shut — leaving the

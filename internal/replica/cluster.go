@@ -317,11 +317,7 @@ func (c *Cluster) startReplication(lead *node, st *durable.State, epoch uint64) 
 		}
 		name := f.name
 		sh := NewShipper(shipConn, st.Journal.WAL(), st.Checkpoints.WAL(),
-			func(stream byte, pos uint64) {
-				if stream == streamNetlog {
-					c.noteAck(epoch, name, pos)
-				}
-			})
+			func(pos uint64) { c.noteAck(epoch, name, pos) })
 		c.mu.Lock()
 		f.applier, f.shipper = a, sh
 		c.mu.Unlock()
@@ -344,7 +340,6 @@ func (c *Cluster) stopShippers() {
 	c.mu.Unlock()
 	for _, s := range shippers {
 		s.Stop()
-		s.Close()
 	}
 }
 

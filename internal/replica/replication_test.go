@@ -3,6 +3,7 @@ package replica
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"testing"
@@ -10,6 +11,13 @@ import (
 
 	"legosdn/internal/durable"
 )
+
+// writeFrame sends one frame as its own Write: the hand-built leaders
+// of these tests, which frame by frame is all a shipper used to be.
+func writeFrame(w io.Writer, f frame) error {
+	_, err := w.Write(appendFrame(nil, f))
+	return err
+}
 
 // walRecords drains a WAL's full live contents via the tail API.
 func walRecords(t *testing.T, w *durable.WAL) []durable.Record {
@@ -107,7 +115,6 @@ func TestFollowerJoinsMidStreamAfterCompaction(t *testing.T) {
 	}
 
 	sh.Stop()
-	sh.Close()
 	if err := app.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +151,8 @@ func TestDuplicateDeliveryIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The applier acks every frame on the same synchronous pipe, so the
-	// fake leader must drain them.
+	// The applier acks each write's NetLog frames on the same
+	// synchronous pipe, so the fake leader must drain the acks.
 	go func() {
 		for {
 			if _, err := readFrame(leaderSide); err != nil {

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"errors"
 	"net"
 	"sync"
 	"time"
@@ -17,16 +16,23 @@ import (
 // reset frame, after which the follower re-applies from the
 // snapshot-headed log. One Shipper per follower; records are shipped in
 // log order with contiguous positions, so follower-side dedup is a
-// single comparison. An idle shipper sleeps until a WAL reports a frame
-// written (durable.WAL.Written) — records written without a sync of
-// their own wake it exactly like synced ones.
+// single comparison.
+//
+// The unit of shipping is a pass, not a frame: a pass takes every
+// record past each cursor and writes each stream's frames with one
+// Write (more only past flushAt), the NetLog stream first, so a quorum
+// wait never queues behind a checkpoint image. The follower answers a
+// burst with one cumulative NetLog ack. An idle shipper sleeps until a
+// WAL reports a frame written (durable.WAL.Written) — records written
+// without a sync of their own wake it exactly like synced ones.
 type Shipper struct {
 	conn    net.Conn
 	streams []*shipStream
-	onAck   func(stream byte, pos uint64)
+	onAck   func(pos uint64)
+	buf     []byte // the pass's encoded frames not yet written
+	shipped int    // bytes written so far
 
-	resets metrics.Counter
-	scans  metrics.Counter // passes of the shipping loop over both streams
+	scans metrics.Counter // passes of the shipping loop over both streams
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -44,9 +50,9 @@ type shipStream struct {
 }
 
 // NewShipper builds a shipper for one follower connection. onAck (may
-// be nil) observes follower acknowledgments; the cluster uses it to
-// drive quorum waits. Call Run to start.
-func NewShipper(conn net.Conn, netlogWAL, checkpointWAL *durable.WAL, onAck func(stream byte, pos uint64)) *Shipper {
+// be nil) observes the follower's cumulative NetLog acknowledgments;
+// the cluster uses it to drive quorum waits. Call Run to start.
+func NewShipper(conn net.Conn, netlogWAL, checkpointWAL *durable.WAL, onAck func(pos uint64)) *Shipper {
 	return &Shipper{
 		conn: conn,
 		streams: []*shipStream{
@@ -58,12 +64,6 @@ func NewShipper(conn net.Conn, netlogWAL, checkpointWAL *durable.WAL, onAck func
 	}
 }
 
-// Resets reports the generation resyncs sent; Scans the passes the
-// shipping loop has made over its streams (an idle shipper makes next
-// to none).
-func (s *Shipper) Resets() uint64 { return s.resets.Load() }
-func (s *Shipper) Scans() uint64  { return s.scans.Load() }
-
 // Run starts the ack reader and the shipping loop. It returns
 // immediately; Stop tears both down.
 func (s *Shipper) Run() {
@@ -72,7 +72,8 @@ func (s *Shipper) Run() {
 	go s.shipLoop()
 }
 
-// Stop closes the connection and waits for the loops to exit.
+// Stop closes the connection, waits for the loops to exit and releases
+// the segment readers.
 func (s *Shipper) Stop() {
 	select {
 	case <-s.stop:
@@ -81,6 +82,12 @@ func (s *Shipper) Stop() {
 	}
 	s.conn.Close()
 	s.wg.Wait()
+	for _, st := range s.streams {
+		if st.reader != nil {
+			st.reader.Close()
+			st.reader = nil
+		}
+	}
 }
 
 func (s *Shipper) ackLoop() {
@@ -91,7 +98,7 @@ func (s *Shipper) ackLoop() {
 			return
 		}
 		if f.Kind == frameAck && s.onAck != nil {
-			s.onAck(f.Stream, f.Pos)
+			s.onAck(f.Pos)
 		}
 	}
 }
@@ -99,6 +106,10 @@ func (s *Shipper) ackLoop() {
 // idleRescan is the shipping loop's safety net: an idle shipper looks at
 // its WALs again this often even if no wake-up came.
 const idleRescan = 100 * time.Millisecond
+
+// flushAt bounds what a pass buffers before writing: a long backlog
+// goes out in writes of about this size.
+const flushAt = 1 << 20
 
 func (s *Shipper) shipLoop() {
 	defer s.wg.Done()
@@ -110,15 +121,17 @@ func (s *Shipper) shipLoop() {
 		// so the wait below cannot sleep through it.
 		netlogWritten, checkpointsWritten := s.streams[0].wal.Written(), s.streams[1].wal.Written()
 		s.scans.Inc()
-		progress := false
+		shipped := s.shipped
 		for _, st := range s.streams {
-			p, err := s.step(st)
+			err := s.step(st)
+			if err == nil {
+				err = s.flush()
+			}
 			if err != nil {
 				return // conn closed: follower gone or Stop
 			}
-			progress = progress || p
 		}
-		if !progress {
+		if s.shipped == shipped {
 			select {
 			case <-s.stop:
 				return
@@ -131,9 +144,9 @@ func (s *Shipper) shipLoop() {
 }
 
 // step advances one stream: resync on generation change, open the next
-// segment reader when needed, and ship every record currently
-// available. Returns whether anything was sent.
-func (s *Shipper) step(st *shipStream) (progress bool, err error) {
+// segment reader when needed, and queue every record currently
+// available for the pass's write.
+func (s *Shipper) step(st *shipStream) error {
 	ts := st.wal.TailState()
 	if !st.inited || ts.Gen != st.gen {
 		// New generation (first contact or a compaction): tell the
@@ -143,83 +156,91 @@ func (s *Shipper) step(st *shipStream) (progress bool, err error) {
 			st.reader = nil
 		}
 		st.inited, st.gen, st.pos, st.segs = true, ts.Gen, ts.StartPos, ts.Segments
-		if err := writeFrame(s.conn, frame{Kind: frameReset, Stream: st.id, Pos: st.pos, Gen: st.gen}); err != nil {
-			return false, err
+		if err := s.emit(frame{Kind: frameReset, Stream: st.id, Pos: st.pos, Gen: st.gen}); err != nil {
+			return err
 		}
-		s.resets.Inc()
-		progress = true
 	}
 	if st.reader == nil {
 		if len(st.segs) == 0 {
-			return progress, nil
+			return nil
 		}
 		r, err := st.wal.OpenSegmentReader(st.segs[0])
 		if err != nil {
-			// Compacted between TailState and open: the next step sees
-			// the bumped generation and resyncs.
-			if errors.Is(err, durable.ErrSegmentGone) {
-				return progress, nil
-			}
-			return progress, nil
+			// Compacted between TailState and open (ErrSegmentGone): the
+			// next step sees the bumped generation and resyncs.
+			return nil
 		}
 		st.reader = r
 	}
 	for {
-		rec, rerr := st.reader.Next()
-		if rerr != nil { // io.EOF: no complete record at this offset yet
-			if advanced, err := s.advanceSegment(st); err != nil {
-				return progress, err
-			} else if advanced {
+		rec, err := st.reader.Next()
+		if err != nil { // io.EOF: no complete record at this offset yet
+			if s.advanceSegment(st) {
 				continue
 			}
-			return progress, nil
+			return nil
 		}
 		st.pos++
-		if err := writeFrame(s.conn, frame{
+		if err := s.emit(frame{
 			Kind: frameRecord, Stream: st.id, RecType: rec.Type,
 			Pos: st.pos, Gen: st.gen, Payload: rec.Payload,
 		}); err != nil {
-			return progress, err
+			return err
 		}
-		progress = true
 	}
+}
+
+// emit appends f to the pass's buffer, writing the buffer out once it
+// reaches flushAt.
+func (s *Shipper) emit(f frame) error {
+	s.buf = appendFrame(s.buf, f)
+	if len(s.buf) < flushAt {
+		return nil
+	}
+	return s.flush()
+}
+
+// flush writes what the pass has buffered with one Write. A buffer that
+// a backlog grew past the size of a steady-state pass is not kept: each
+// shipper would otherwise hold up to flushAt for its lifetime.
+func (s *Shipper) flush() error {
+	if len(s.buf) == 0 {
+		return nil
+	}
+	n, err := s.conn.Write(s.buf)
+	s.shipped += n
+	s.buf = s.buf[:0]
+	if cap(s.buf) > recvBuffer {
+		s.buf = nil
+	}
+	return err
 }
 
 // advanceSegment moves the cursor past a drained segment when a later
 // one exists. A drained *final* segment is just a live tail — stay on
 // it. Returns whether the cursor moved.
-func (s *Shipper) advanceSegment(st *shipStream) (bool, error) {
+func (s *Shipper) advanceSegment(st *shipStream) bool {
 	ts := st.wal.TailState()
 	if ts.Gen != st.gen {
-		return false, nil // resync on the next step
+		return false // resync on the next step
 	}
 	st.segs = ts.Segments
 	cur := st.reader.Seq()
 	for i, seq := range st.segs {
 		if seq == cur {
 			if i+1 >= len(st.segs) {
-				return false, nil // final segment: keep tailing
+				return false // final segment: keep tailing
 			}
 			next, err := st.wal.OpenSegmentReader(st.segs[i+1])
 			if err != nil {
-				return false, nil
+				return false
 			}
 			st.reader.Close()
 			st.reader = next
-			return true, nil
+			return true
 		}
 	}
 	// Current segment vanished without a generation change observed yet;
 	// the next step resyncs.
-	return false, nil
-}
-
-// Close releases reader handles (after Stop).
-func (s *Shipper) Close() {
-	for _, st := range s.streams {
-		if st.reader != nil {
-			st.reader.Close()
-			st.reader = nil
-		}
-	}
+	return false
 }

@@ -11,9 +11,13 @@ import (
 // streams are multiplexed over the connection — the NetLog journal and
 // the checkpoint log — each carrying raw durable.WAL records tagged
 // with monotonic positions, plus reset frames announcing a new WAL
-// generation (compaction or a fresh leader). The follower acks every
-// frame on receipt; the leader's quorum-commit mode waits on those
-// acked positions.
+// generation (compaction or a fresh leader). A shipping pass encodes
+// each stream's frames back to back and writes them with one call, so
+// frame boundaries and write boundaries are unrelated: a reader parses
+// frames out of a byte stream. The follower answers each burst it has
+// drained with one cumulative NetLog ack; the leader's quorum-commit
+// mode waits on those acked positions. Checkpoint frames are never
+// acked — no wait depends on them.
 //
 // Frame layout:
 //
@@ -22,7 +26,7 @@ import (
 // kind=reset carries no payload; pos is the position just before the
 // first record of the new generation (the follower wipes its shadow
 // log and resumes applying at pos+1). kind=ack flows follower→leader
-// with pos = the highest position received on that stream.
+// on the NetLog stream with pos = the highest position received there.
 
 // Frame kinds.
 const (
@@ -65,19 +69,13 @@ const frameHeaderSize = 1 + 1 + 1 + 8 + 8 + 4
 // images and journal entries, well under this.
 const maxFramePayload = 64 << 20
 
-// writeFrame encodes f as one Write call (callers serialize writes per
-// connection themselves — each side has a single writer goroutine).
-func writeFrame(w io.Writer, f frame) error {
-	buf := make([]byte, frameHeaderSize+len(f.Payload))
-	buf[0] = f.Kind
-	buf[1] = f.Stream
-	buf[2] = f.RecType
-	binary.BigEndian.PutUint64(buf[3:11], f.Pos)
-	binary.BigEndian.PutUint64(buf[11:19], f.Gen)
-	binary.BigEndian.PutUint32(buf[19:23], uint32(len(f.Payload)))
-	copy(buf[frameHeaderSize:], f.Payload)
-	_, err := w.Write(buf)
-	return err
+// appendFrame appends f's encoding to buf.
+func appendFrame(buf []byte, f frame) []byte {
+	buf = append(buf, f.Kind, f.Stream, f.RecType)
+	buf = binary.BigEndian.AppendUint64(buf, f.Pos)
+	buf = binary.BigEndian.AppendUint64(buf, f.Gen)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Payload)))
+	return append(buf, f.Payload...)
 }
 
 // readFrame decodes one frame, blocking until it is fully available.

@@ -105,7 +105,6 @@ func TestShipperFollowsConcurrentWritersAcrossCompaction(t *testing.T) {
 		t.Errorf("follower saw %d resets, want first contact's two and the compaction's", app.Resets())
 	}
 	sh.Stop()
-	sh.Close()
 	if err := app.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestIdleShipperSleeps(t *testing.T) {
 	defer ckpt.Close()
 	sh, app := startPair(t, filepath.Join(dir, "follower"), lead, ckpt, opts, 0)
 	defer app.Close()
-	defer func() { sh.Stop(); sh.Close() }()
+	defer sh.Stop()
 
 	waitFor(t, "first contact", func() bool { return app.Resets() == 2 })
 	time.Sleep(10 * time.Millisecond) // the pass after the resets finds nothing and sleeps

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"log"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -29,6 +30,12 @@ func (t *Tracer) HTTPHandler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		t.WriteText(w, limit)
 	})
+}
+
+// Serve runs a binary's one HTTP listener for h on addr (callers start
+// it with go); a listener that fails is logged under who, not fatal.
+func Serve(addr string, h http.Handler, who string) {
+	log.Printf("%s: listener on %s: %v", who, addr, http.ListenAndServe(addr, h))
 }
 
 // NewDebugMux assembles the observability endpoint served on
